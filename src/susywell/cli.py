@@ -1,8 +1,8 @@
 """Command-line front end: spectra, wavefunction tables, validation reports,
 and potential/level plot data in JSON or CSV.
 
-Exit codes: 0 success, 1 validation failure, 2 bad parameters, 3 state
-index out of range.
+Exit codes: 0 success, 1 validation failure, 2 bad parameters or grid,
+3 state index out of range.
 """
 
 from __future__ import annotations
@@ -89,12 +89,16 @@ def _output_options(f):
 
 
 def _make_grid(params, x_min, x_max, grid_points):
-    base = oracle.default_grid(params, grid_points)
-    return oracle.RadialGrid(
-        x_min=base.x_min if x_min is None else x_min,
-        x_max=base.x_max if x_max is None else x_max,
-        n_points=grid_points,
-    )
+    try:
+        base = oracle.default_grid(params, grid_points)
+        return oracle.RadialGrid(
+            x_min=base.x_min if x_min is None else x_min,
+            x_max=base.x_max if x_max is None else x_max,
+            n_points=grid_points,
+        )
+    except ValueError as exc:
+        click.echo(f"invalid grid: {exc}", err=True)
+        sys.exit(EXIT_BAD_PARAMETERS)
 
 
 @click.group()
@@ -128,6 +132,7 @@ def cmd_spectrum(b_text, p_text, fmt, out):
 def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state_index):
     """Exact coefficients of state n plus a normalized sampled table."""
     params = _parse_params(b_text, p_text)
+    grid = _make_grid(params, x_min, x_max, grid_points)
     n_max = max_bound_states(params)
     if state_index < 0:
         click.echo("state index must be nonnegative", err=True)
@@ -141,7 +146,6 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
         )
         sys.exit(EXIT_INDEX_OUT_OF_RANGE)
     form = hyperpoly.eigenfunction(state_index, params)
-    grid = _make_grid(params, x_min, x_max, grid_points)
     xs = grid.points()
     values = hyperpoly.evaluate(form, xs)
     values = values / np.sqrt(oracle.inner_product(values, values, grid))
@@ -177,13 +181,14 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
 def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out, perturb_potential):
     """Run the full cross-validation suite; exit 0 only if every check passes."""
     params = _parse_params(b_text, p_text)
+    grid = _make_grid(params, x_min, x_max, grid_points)
     report = run_validation(
-        params, n_points=grid_points, x_min=x_min, x_max=x_max, perturb=perturb_potential
+        params, n_points=grid.n_points, x_min=grid.x_min, x_max=grid.x_max,
+        perturb=perturb_potential,
     )
     if fmt == "json":
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:
-        width = max(len(c.name) for c in report.checks)
         lines = ["check,status,detail"]
         lines += [
             f"{c.name},{'PASS' if c.passed else 'FAIL'},\"{c.detail}\""
@@ -195,7 +200,6 @@ def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out, perturb_po
             f"|P(exp(x0))|={probe.get('exp_x0', float('nan')):.3e}\""
         )
         text = "\n".join(lines) + "\n"
-        del width
     _emit(text, out)
     if not report.passed:
         first = report.first_failure()
@@ -210,9 +214,9 @@ def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out, perturb_po
 def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
     """Plot data: x, V(x), one level line per bound state, and the asymptote."""
     params = _parse_params(b_text, p_text)
+    grid = _make_grid(params, x_min, x_max, grid_points)
     n_max = max_bound_states(params)
     spec = full_spectrum(params)
-    grid = _make_grid(params, x_min, x_max, grid_points)
     xs = grid.points()
     from .potential import potential_closed_form
 

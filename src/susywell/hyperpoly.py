@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .params import LadderParams, ModelParams, ladder
-from .potential import coth, csch_squared, log_cosh, log_sinh, sech_squared
+from .potential import _positive_x, coth, csch_squared, log_cosh, log_sinh, sech_squared
 from .spectrum import max_bound_states
 
 
@@ -153,14 +153,17 @@ def decay_exponent(form: HyperbolicForm) -> Fraction:
     return 3 * form.p * form.sigma + form.p * form.tau + 2 * form.p * form.top_index
 
 
-def _series_parts(form: HyperbolicForm, u: np.ndarray):
-    """Series P, P', P'' scaled by exp(-2*K*p*x), K the top index.
+def _series_parts(form: HyperbolicForm, x):
+    """u = p*x, the series P, P', P'' scaled by exp(-2*K*p*x) with K the top
+    index, and the log of the factored-out scale.
 
     cosh(2kpx)*exp(-2Ku) = (exp(-2(K-k)u) + exp(-2(K+k)u)) / 2 keeps every
-    exponent nonpositive, so nothing overflows regardless of x.
+    exponent nonpositive, so nothing overflows regardless of x; the
+    form is (P scaled) * exp(log_scale).
     """
     K = form.top_index
     p = float(form.p)
+    u = p * _positive_x(x)
     pm = np.zeros_like(u)
     p1m = np.zeros_like(u)
     p2m = np.zeros_like(u)
@@ -176,7 +179,10 @@ def _series_parts(form: HyperbolicForm, u: np.ndarray):
         pm += a * c
         p1m += a * rate * s
         p2m += a * rate * rate * c
-    return pm, p1m, p2m, K
+    log_scale = (float(form.sigma) * log_cosh(3.0 * u)
+                 + float(form.tau) * log_sinh(u)
+                 + 2.0 * K * u)
+    return u, pm, p1m, p2m, log_scale
 
 
 def evaluate_scaled(form: HyperbolicForm, x) -> tuple:
@@ -185,15 +191,7 @@ def evaluate_scaled(form: HyperbolicForm, x) -> tuple:
     The mantissa carries the sign (and the zeros) of the series; the
     exponent absorbs the full dynamic range.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("x must be positive (domain is the half line x > 0)")
-    p = float(form.p)
-    u = p * arr
-    pm, _, _, K = _series_parts(form, u)
-    log_scale = (float(form.sigma) * log_cosh(3.0 * u)
-                 + float(form.tau) * log_sinh(u)
-                 + 2.0 * K * u)
+    _, pm, _, _, log_scale = _series_parts(form, x)
     if np.ndim(x) == 0:
         return float(pm), float(log_scale)
     return pm, log_scale
@@ -212,14 +210,9 @@ def evaluate_derivatives(form: HyperbolicForm, x):
 
     Used for operator residuals: no stencil error, only roundoff.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("x must be positive (domain is the half line x > 0)")
     p = float(form.p)
     sigma, tau = float(form.sigma), float(form.tau)
-    u = p * arr
-    pm, p1m, p2m, K = _series_parts(form, u)
-    log_scale = (sigma * log_cosh(3.0 * u) + tau * log_sinh(u) + 2.0 * K * u)
+    u, pm, p1m, p2m, log_scale = _series_parts(form, x)
     # logarithmic derivative of the prefactor and its derivative
     m = 3.0 * p * sigma * np.tanh(3.0 * u) + p * tau * coth(u)
     mp = 9.0 * p * p * sigma * sech_squared(3.0 * u) - p * p * tau * csch_squared(u)
@@ -235,12 +228,8 @@ def evaluate_derivatives(form: HyperbolicForm, x):
 
 def evaluate_log_derivative(form: HyperbolicForm, x) -> "float | np.ndarray":
     """d/dx log|form(x)|; for the rung-k ground form this equals -W(x, a_k)."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("x must be positive (domain is the half line x > 0)")
     p = float(form.p)
-    u = p * arr
-    pm, p1m, _, _ = _series_parts(form, u)
+    u, pm, p1m, _, _ = _series_parts(form, x)
     m = 3.0 * p * float(form.sigma) * np.tanh(3.0 * u) + p * float(form.tau) * coth(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = m + p1m / pm

@@ -1,29 +1,16 @@
 """Hot numeric kernels: Sturm-sequence counts and shifted tridiagonal solves.
 
-Both kernels are compiled with numba when it is importable.  Setting the
-environment variable SUSYWELL_PURE_NUMPY=1 forces the plain numpy paths:
-the Sturm count then vectorizes across the batch of shifts (the recurrence
-itself is sequential in the matrix index), and the Thomas solve falls back
-to a straight Python sweep.  benchmarks/bench_kernels.py compares the two.
+The Sturm count vectorizes across the batch of shifts (the recurrence
+itself is sequential in the matrix index); the Thomas solve is a straight
+Python sweep.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("SUSYWELL_PURE_NUMPY", "").strip().lower()
-PURE_NUMPY = _FLAG in {"1", "true", "yes", "on"}
-
-try:
-    if PURE_NUMPY:
-        raise ImportError("pure-numpy path requested")
-    from numba import njit
-except ImportError:
-    njit = None
-
-NUMBA_ENABLED = njit is not None
+# No compiled backend: kept for the benchmark's environment record.
+NUMBA_ENABLED = False
 
 _SAFE_MIN = float(np.finfo(np.float64).tiny)
 
@@ -34,28 +21,14 @@ def pivot_floor(off_squared: np.ndarray) -> float:
     return _SAFE_MIN * max(1.0, top)
 
 
-def _sturm_counts_loop(diag, off_squared, shifts, pivmin):
-    m = shifts.shape[0]
-    n = diag.shape[0]
-    out = np.empty(m, dtype=np.int64)
-    for j in range(m):
-        x = shifts[j]
-        d = diag[0] - x
-        if abs(d) < pivmin:
-            d = -pivmin
-        cnt = 1 if d < 0.0 else 0
-        for i in range(1, n):
-            d = (diag[i] - x) - off_squared[i - 1] / d
-            if abs(d) < pivmin:
-                d = -pivmin
-            if d < 0.0:
-                cnt += 1
-        out[j] = cnt
-    return out
-
-
-def _sturm_counts_numpy(diag, off_squared, shifts, pivmin):
-    # sequential in i, vectorized across the batch of shifts
+def sturm_counts(diag, off_squared, shifts, pivmin=None):
+    """Number of eigenvalues of the symmetric tridiagonal matrix strictly
+    below each shift, via the sign count of the Sturm pivot sequence."""
+    diag = np.ascontiguousarray(diag, dtype=np.float64)
+    off_squared = np.ascontiguousarray(off_squared, dtype=np.float64)
+    shifts = np.atleast_1d(np.ascontiguousarray(shifts, dtype=np.float64))
+    if pivmin is None:
+        pivmin = pivot_floor(off_squared)
     d = diag[0] - shifts
     d = np.where(np.abs(d) < pivmin, -pivmin, d)
     counts = (d < 0.0).astype(np.int64)
@@ -66,10 +39,21 @@ def _sturm_counts_numpy(diag, off_squared, shifts, pivmin):
     return counts
 
 
-def _tridiag_solve_loop(diag, off, shift, rhs, pivmin):
-    # Thomas sweep on (T - shift*I) x = rhs with magnitude-clamped pivots;
-    # inverse iteration drives the shift onto an eigenvalue by design.
+def shifted_tridiag_solve(diag, off, shift, rhs, pivmin=None):
+    """Solve (T - shift*I) x = rhs for symmetric tridiagonal T.
+
+    Thomas sweep with magnitude-clamped pivots: inverse iteration drives
+    the shift onto an eigenvalue by design.
+    """
+    diag = np.ascontiguousarray(diag, dtype=np.float64)
+    off = np.ascontiguousarray(off, dtype=np.float64)
+    rhs = np.ascontiguousarray(rhs, dtype=np.float64)
     n = diag.shape[0]
+    if n < 2:
+        raise ValueError("tridiagonal solve needs at least two rows")
+    if pivmin is None:
+        pivmin = pivot_floor(off * off)
+    shift = float(shift)
     cp = np.empty(n - 1, dtype=np.float64)
     x = np.empty(n, dtype=np.float64)
     den = diag[0] - shift
@@ -90,35 +74,3 @@ def _tridiag_solve_loop(diag, off, shift, rhs, pivmin):
     for i in range(n - 2, -1, -1):
         x[i] -= cp[i] * x[i + 1]
     return x
-
-
-if NUMBA_ENABLED:
-    _sturm_counts_numba = njit(cache=True)(_sturm_counts_loop)
-    _tridiag_solve_numba = njit(cache=True)(_tridiag_solve_loop)
-
-
-def sturm_counts(diag, off_squared, shifts, pivmin=None):
-    """Number of eigenvalues of the symmetric tridiagonal matrix strictly
-    below each shift, via the sign count of the Sturm pivot sequence."""
-    diag = np.ascontiguousarray(diag, dtype=np.float64)
-    off_squared = np.ascontiguousarray(off_squared, dtype=np.float64)
-    shifts = np.atleast_1d(np.ascontiguousarray(shifts, dtype=np.float64))
-    if pivmin is None:
-        pivmin = pivot_floor(off_squared)
-    if NUMBA_ENABLED:
-        return _sturm_counts_numba(diag, off_squared, shifts, pivmin)
-    return _sturm_counts_numpy(diag, off_squared, shifts, pivmin)
-
-
-def shifted_tridiag_solve(diag, off, shift, rhs, pivmin=None):
-    """Solve (T - shift*I) x = rhs for symmetric tridiagonal T."""
-    diag = np.ascontiguousarray(diag, dtype=np.float64)
-    off = np.ascontiguousarray(off, dtype=np.float64)
-    rhs = np.ascontiguousarray(rhs, dtype=np.float64)
-    if diag.shape[0] < 2:
-        raise ValueError("tridiagonal solve needs at least two rows")
-    if pivmin is None:
-        pivmin = pivot_floor(off * off)
-    if NUMBA_ENABLED:
-        return _tridiag_solve_numba(diag, off, float(shift), rhs, pivmin)
-    return _tridiag_solve_loop(diag, off, float(shift), rhs, pivmin)

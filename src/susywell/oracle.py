@@ -35,8 +35,8 @@ class RadialGrid:
     n_points: int
 
     def __post_init__(self):
-        if not (0.0 < self.x_min < self.x_max):
-            raise ValueError("grid requires 0 < x_min < x_max")
+        if not (0.0 < self.x_min < self.x_max < np.inf):
+            raise ValueError("grid requires 0 < x_min < x_max < inf")
         if self.n_points < 100:
             raise ValueError("grid requires at least 100 interior points")
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import analysis, hyperpoly, oracle
-from .params import ModelParams, ladder, ladder_offset, shift_constant
+from .params import ModelParams, ladder
 from .potential import partner_plus, potential_closed_form, shape_invariance_residual
 from .spectrum import full_spectrum, max_bound_states, state_decay_rate
 
@@ -64,17 +64,9 @@ class ValidationReport:
 
 
 def _check_telescoping(params: ModelParams) -> CheckResult:
-    n_max = max_bound_states(params)
-    a0 = ladder_offset(ladder(params, 0))
-    running = Fraction(0)
-    for n in range(n_max + 1):
-        spec_val = full_spectrum(params).levels[n][1]
-        offset_val = ladder_offset(ladder(params, n)) - a0
-        if not (spec_val == offset_val == running):
-            return CheckResult(
-                "telescoping", False, f"routes disagree at n={n}"
-            )
-        running += shift_constant(params, n)
+    # full_spectrum compares the closed, telescoped and summed routes
+    # exactly and raises on any disagreement
+    n_max = full_spectrum(params).n_max
     return CheckResult(
         "telescoping", True, f"sum of shift constants equals closed form for n<=n_max={n_max}"
     )
@@ -376,9 +368,10 @@ def run_validation(
 ) -> ValidationReport:
     """Run every check; deterministic, all tolerances fixed here."""
     report = ValidationReport(params=params)
-    base = oracle.default_grid(params, n_points)
-    x_min = base.x_min if x_min is None else x_min
-    x_max = base.x_max if x_max is None else x_max
+    if x_min is None or x_max is None:
+        base = oracle.default_grid(params, n_points)
+        x_min = base.x_min if x_min is None else x_min
+        x_max = base.x_max if x_max is None else x_max
 
     n_max = max_bound_states(params)
     m = n_max + 4  # a few beyond the cutoff: exposes extra true levels, if any

@@ -180,3 +180,24 @@ def test_out_file_and_env_dir(runner, tmp_path, monkeypatch):
     )
     assert result.exit_code == 0
     assert (tmp_path / "bare.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "1", "--grid-points", "50"],
+        ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "1", "--grid-points", "50",
+         "--x-min", "0"],
+        ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "1", "--x-min", "0"],
+        ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "1", "--x-max", "inf"],
+        ["figure", "--B", "7", "--p", "0.5", "--x-min", "3", "--x-max", "2"],
+        ["validate", "--B", "7", "--p", "0.5", "--grid-points", "50"],
+    ],
+)
+def test_bad_grid_is_a_parameter_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    message = result.output.strip().splitlines()
+    assert len(message) == 1 and message[0].startswith("invalid grid: ")

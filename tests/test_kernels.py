@@ -1,9 +1,4 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from susywell import kernels
 
@@ -62,37 +57,3 @@ def test_solve_survives_singular_shift():
     m = _dense(diag, off)
     assert np.linalg.norm(m @ v - eigs[0] * v) < 1e-6
 
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba disabled in this process")
-def test_backends_agree():
-    rng = np.random.default_rng(11)
-    diag, off = _random_tridiag(rng, 500)
-    off2 = off * off
-    shifts = rng.uniform(-5, 5, size=9)
-    pivmin = kernels.pivot_floor(off2)
-    a = kernels._sturm_counts_numba(diag, off2, shifts, pivmin)
-    b = kernels._sturm_counts_numpy(diag, off2, shifts, pivmin)
-    assert np.array_equal(a, b)
-    rhs = rng.standard_normal(500)
-    xa = kernels._tridiag_solve_numba(diag, off, 0.1, rhs, pivmin)
-    xb = kernels._tridiag_solve_loop(diag, off, 0.1, rhs, pivmin)
-    assert np.allclose(xa, xb, rtol=1e-13, atol=0.0)
-
-
-def test_dispatch_honors_flag(monkeypatch):
-    rng = np.random.default_rng(13)
-    diag, off = _random_tridiag(rng, 120)
-    shifts = np.array([0.0, 1.0])
-    with_flag = kernels.sturm_counts(diag, off * off, shifts)
-    monkeypatch.setattr(kernels, "NUMBA_ENABLED", False)
-    without = kernels.sturm_counts(diag, off * off, shifts)
-    assert np.array_equal(with_flag, without)
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, SUSYWELL_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from susywell import kernels; print(kernels.NUMBA_ENABLED)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "False"
