@@ -115,11 +115,17 @@ def find_minimum(params: ModelParams) -> MinimumReport:
     x0 = 0.5 * (lo + hi)
     v_min = float(potential_closed_form(x0, params))
     resid = float(potential_derivative(x0, params))
-    probe = (
-        abs(float(min_polynomial(math.exp(p * x0), params.B, params.p))),
-        abs(float(min_polynomial(math.exp(x0), params.B, params.p))),
-    )
+    probe = (_probe(p * x0, params.B, params.p), _probe(x0, params.B, params.p))
     return MinimumReport(x0=x0, v_min=v_min, derivative_residual=resid, poly_root_probe=probe)
+
+
+def _probe(log_t: float, B, p) -> float:
+    """|P(exp(log_t))| in float64; inf where exp(log_t) or its square
+    overflows (deep, narrow wells put x0 at hundreds of length units)."""
+    try:
+        return abs(float(min_polynomial(math.exp(log_t), B, p)))
+    except OverflowError:
+        return math.inf
 
 
 def _bisect_level(params: ModelParams, target: float, lo: float, hi: float) -> float:

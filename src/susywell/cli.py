@@ -96,7 +96,7 @@ def _make_grid(params, x_min, x_max, grid_points):
             x_max=base.x_max if x_max is None else x_max,
             n_points=grid_points,
         )
-    except ValueError as exc:
+    except oracle.GridError as exc:
         click.echo(f"invalid grid: {exc}", err=True)
         sys.exit(EXIT_BAD_PARAMETERS)
 
@@ -182,10 +182,14 @@ def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out, perturb_po
     """Run the full cross-validation suite; exit 0 only if every check passes."""
     params = _parse_params(b_text, p_text)
     grid = _make_grid(params, x_min, x_max, grid_points)
-    report = run_validation(
-        params, n_points=grid.n_points, x_min=grid.x_min, x_max=grid.x_max,
-        perturb=perturb_potential,
-    )
+    try:
+        report = run_validation(
+            params, n_points=grid.n_points, x_min=grid.x_min, x_max=grid.x_max,
+            perturb=perturb_potential,
+        )
+    except oracle.GridError as exc:  # e.g. every point inside the singular wall
+        click.echo(f"invalid grid: {exc}", err=True)
+        sys.exit(EXIT_BAD_PARAMETERS)
     if fmt == "json":
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:

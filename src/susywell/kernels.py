@@ -1,8 +1,12 @@
 """Hot numeric kernels: Sturm-sequence counts and shifted tridiagonal solves.
 
-The Sturm count vectorizes across the batch of shifts (the recurrence
-itself is sequential in the matrix index); the Thomas solve is a straight
-Python sweep.
+The Sturm count vectorizes across the batch of shifts; the recurrence
+itself is sequential in the matrix index, so it walks the rows in blocks:
+each block's `diag - shift` entries are filled by one broadcast subtract,
+the pivots are updated in place one row at a time, and the negative
+pivots of the whole block are counted at once.  The scratch block is
+`_BLOCK_ROWS` rows by at most `SHIFT_BATCH` shifts; wider batches are
+counted in column chunks.  The Thomas solve is a straight Python sweep.
 """
 
 from __future__ import annotations
@@ -14,6 +18,11 @@ NUMBA_ENABLED = False
 
 _SAFE_MIN = float(np.finfo(np.float64).tiny)
 
+# A bisection pass sends at most SHIFT_BATCH shifts per count; with
+# _BLOCK_ROWS rows the count's scratch block stays near 256 KB.
+SHIFT_BATCH = 256
+_BLOCK_ROWS = 128
+
 
 def pivot_floor(off_squared: np.ndarray) -> float:
     """Minimum pivot magnitude for the Sturm recurrence (LAPACK-style)."""
@@ -23,19 +32,49 @@ def pivot_floor(off_squared: np.ndarray) -> float:
 
 def sturm_counts(diag, off_squared, shifts, pivmin=None):
     """Number of eigenvalues of the symmetric tridiagonal matrix strictly
-    below each shift, via the sign count of the Sturm pivot sequence."""
+    below each shift, via the sign count of the Sturm pivot sequence.
+
+    Each shift's count depends on that shift alone, so batching shifts
+    never changes a count."""
     diag = np.ascontiguousarray(diag, dtype=np.float64)
     off_squared = np.ascontiguousarray(off_squared, dtype=np.float64)
     shifts = np.atleast_1d(np.ascontiguousarray(shifts, dtype=np.float64))
     if pivmin is None:
         pivmin = pivot_floor(off_squared)
-    d = diag[0] - shifts
-    d = np.where(np.abs(d) < pivmin, -pivmin, d)
-    counts = (d < 0.0).astype(np.int64)
-    for i in range(1, diag.shape[0]):
-        d = (diag[i] - shifts) - off_squared[i - 1] / d
-        d = np.where(np.abs(d) < pivmin, -pivmin, d)
-        counts += d < 0.0
+    return np.concatenate([
+        _count_below(diag, off_squared, shifts[c:c + SHIFT_BATCH], pivmin)
+        for c in range(0, max(shifts.shape[0], 1), SHIFT_BATCH)
+    ])
+
+
+def _count_below(diag, off_squared, shifts, pivmin):
+    """sturm_counts for at most SHIFT_BATCH shifts; every pivot is
+    d_i = (diag_i - shift) - off_squared_{i-1} / d_{i-1}, and any pivot
+    smaller than pivmin in magnitude is replaced by -pivmin."""
+    n, width = diag.shape[0], shifts.shape[0]
+    pivots = np.empty((_BLOCK_ROWS + 1, width))  # row 0: the pivot before the block
+    rows = list(pivots)
+    floor = np.full(width, pivmin)
+    off_rows = np.broadcast_to(off_squared[:, None], (max(n - 1, 0), width))
+    tmp = np.empty(width)
+    small = np.empty(width, dtype=bool)
+    carry = rows[0]
+    np.subtract(diag[0], shifts, out=carry)
+    np.less(np.abs(carry, out=tmp), floor, out=small)
+    carry[small] = -pivmin
+    counts = (carry < 0.0).astype(np.int64)
+    for start in range(1, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        block = pivots[1:stop - start + 1]
+        np.subtract(diag[start:stop, None], shifts, out=block)
+        for prev, cur, off in zip(rows, rows[1:], off_rows[start - 1:stop - 1]):
+            np.divide(off, prev, out=tmp)
+            np.subtract(cur, tmp, out=cur)
+            np.abs(cur, out=tmp)
+            np.less(tmp, floor, out=small)
+            cur[small] = -pivmin
+        counts += np.count_nonzero(block < 0.0, axis=0)
+        carry[...] = block[-1]
     return counts
 
 

@@ -5,6 +5,13 @@ ends give a symmetric tridiagonal matrix; the lowest eigenvalues are
 isolated by Sturm-sequence bisection and eigenvectors recovered by shifted
 inverse iteration.  Also hosts the grid utilities (trapezoid quadrature,
 node counting, first-order ladder operators) used for cross-validation.
+
+Bisection runs in multisection passes (Lo, Philippe & Sameh 1987): one
+Sturm count call evaluates every midpoint that plain bisection could reach
+from the live brackets in the next few levels, and the levels are then
+walked exactly as plain bisection would walk them.  A count at one shift
+does not depend on the others in its batch, so the bisection path and
+every eigenvalue are those of one level per count, with far fewer calls.
 """
 
 from __future__ import annotations
@@ -25,6 +32,10 @@ _MAX_BISECT_ITER = 200
 _MAX_INVERSE_ITER = 60
 
 
+class GridError(ValueError):
+    """A grid the finite-difference problem cannot be posed on."""
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform interior points x_i = x_min + i*h, i = 1..n_points, with
@@ -36,9 +47,9 @@ class RadialGrid:
 
     def __post_init__(self):
         if not (0.0 < self.x_min < self.x_max < np.inf):
-            raise ValueError("grid requires 0 < x_min < x_max < inf")
+            raise GridError("grid requires 0 < x_min < x_max < inf")
         if self.n_points < 100:
-            raise ValueError("grid requires at least 100 interior points")
+            raise GridError("grid requires at least 100 interior points")
 
     @property
     def h(self) -> float:
@@ -98,7 +109,7 @@ def build_hamiltonian(params: ModelParams, grid: RadialGrid) -> DiscretizedHamil
     x = grid.points()
     v = potential_closed_form(x, params)
     if not np.all(np.isfinite(v)):
-        raise ValueError(
+        raise GridError(
             "potential is not representable on this grid "
             f"(x_min = {grid.x_min} reaches the singular wall)"
         )
@@ -123,17 +134,47 @@ def _bisect_lowest(diag: np.ndarray, offdiag: np.ndarray, m: int) -> list[float]
     lo = np.full(m, lo_bound)
     hi = np.full(m, hi_bound)
     want = np.arange(1, m + 1)  # eigenvalue j is below x iff count(x) >= j+1
+    levels_left = 0
     for _ in range(_MAX_BISECT_ITER):
         if np.all(hi - lo <= tol):
             break
+        if levels_left == 0:
+            shifts, counts, levels_left = _multisection_pass(diag, off2, pivmin, lo, hi)
         mid = 0.5 * (lo + hi)
-        counts = kernels.sturm_counts(diag, off2, mid, pivmin)
-        below = counts >= want
+        below = counts[np.searchsorted(shifts, mid)] >= want
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
+        levels_left -= 1
     else:
         raise RuntimeError("Sturm bisection hit the iteration limit (pathological grid?)")
     return [float(v) for v in 0.5 * (lo + hi)]
+
+
+def _multisection_pass(diag, off2, pivmin, lo, hi):
+    """Sturm counts, from one kernel call, at every midpoint that plain
+    bisection can reach from the brackets (lo, hi) within the returned
+    number of levels: as many levels (at least one) as keep the midpoints
+    within kernels.SHIFT_BATCH for the distinct brackets.
+
+    The midpoints are built with the same 0.5 * (lo + hi) arithmetic as
+    the bisection that looks them up, so every lookup hits exactly.
+    Brackets are monotone in the eigenvalue index, so equal brackets are
+    neighbours; a bracket is expanded once however many eigenvalues share it.
+    """
+    fresh = np.ones(lo.shape[0], dtype=bool)
+    fresh[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    a, b = lo[fresh], hi[fresh]
+    depth = max(1, (kernels.SHIFT_BATCH // a.shape[0] + 1).bit_length() - 1)
+    points = []
+    for _ in range(depth):
+        mid = 0.5 * (a + b)
+        points.append(mid)
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+    shifts = np.sort(np.concatenate(points))
+    keep = np.ones(shifts.shape[0], dtype=bool)
+    keep[1:] = shifts[1:] != shifts[:-1]
+    shifts = shifts[keep]
+    return shifts, kernels.sturm_counts(diag, off2, shifts, pivmin), depth
 
 
 def lowest_eigenvalues(H: DiscretizedHamiltonian, m: int) -> list[float]:

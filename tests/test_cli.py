@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -86,6 +87,21 @@ def test_minimum_json(runner):
     assert d["V_min"] < 0.0
     assert abs(d["derivative_residual"]) <= 1e-8 * 0.5 * 240.25
     assert set(d["poly_root_probe"]) == {"exp_p_x0", "exp_x0"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_minimum_probe_beyond_float_range(runner, fmt):
+    # x0 = 415.7 here: exp(x0)^2 overflows float64, so that probe reads inf
+    result = runner.invoke(main, ["minimum", "--B", "1000", "--p", "1/1000", "--format", fmt])
+    assert result.exit_code == 0
+    assert result.exception is None
+    if fmt == "json":
+        probe = json.loads(result.output)["poly_root_probe"]
+    else:
+        rows = dict(line.split(",") for line in result.output.strip().splitlines()[1:])
+        probe = {"exp_p_x0": float(rows["probe_exp_p_x0"]), "exp_x0": float(rows["probe_exp_x0"])}
+    assert math.isfinite(probe["exp_p_x0"])
+    assert probe["exp_x0"] == math.inf
 
 
 def test_figure_csv(runner):
@@ -192,6 +208,7 @@ def test_out_file_and_env_dir(runner, tmp_path, monkeypatch):
         ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "1", "--x-max", "inf"],
         ["figure", "--B", "7", "--p", "0.5", "--x-min", "3", "--x-max", "2"],
         ["validate", "--B", "7", "--p", "0.5", "--grid-points", "50"],
+        ["validate", "--B", "7", "--p", "0.5", "--x-min", "1e-12", "--x-max", "1e-9"],
     ],
 )
 def test_bad_grid_is_a_parameter_error(runner, args):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from susywell import kernels
 
@@ -32,6 +33,48 @@ def test_counts_match_dense_eigenvalues():
         counts = kernels.sturm_counts(diag, off * off, shifts)
         expect = [int(np.sum(eigs < s)) for s in shifts]
         assert counts.tolist() == expect
+
+
+def _reference_counts(diag, off_squared, shifts):
+    # the row-at-a-time recurrence the blocked count must reproduce exactly
+    pivmin = kernels.pivot_floor(off_squared)
+    d = diag[0] - shifts
+    d = np.where(np.abs(d) < pivmin, -pivmin, d)
+    counts = (d < 0.0).astype(np.int64)
+    for i in range(1, diag.shape[0]):
+        d = (diag[i] - shifts) - off_squared[i - 1] / d
+        d = np.where(np.abs(d) < pivmin, -pivmin, d)
+        counts += d < 0.0
+    return counts
+
+
+@pytest.mark.parametrize("n_shifts", [1, 300])
+@pytest.mark.parametrize(
+    "n",
+    [1, 2, kernels._BLOCK_ROWS - 1, kernels._BLOCK_ROWS, kernels._BLOCK_ROWS + 1,
+     kernels._BLOCK_ROWS + 2, 4 * kernels._BLOCK_ROWS + 3],
+)
+def test_blocked_counts_match_reference(n, n_shifts):
+    rng = np.random.default_rng(n * 1000 + n_shifts)
+    diag = rng.integers(-3, 4, size=n).astype(float)
+    off2 = rng.integers(0, 3, size=n - 1).astype(float)
+    # integer entries and integer shifts land pivots exactly on zero
+    shifts = rng.integers(-6, 7, size=n_shifts).astype(float)
+    if n_shifts > 1:
+        shifts[: n_shifts // 2] += rng.uniform(-0.5, 0.5, size=n_shifts // 2)
+    got = kernels.sturm_counts(diag, off2, shifts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _reference_counts(diag, off2, shifts))
+
+
+def test_counts_clamp_exact_pivot():
+    # shift 1 on diag [1, 1] makes the first pivot exactly zero
+    diag = np.array([1.0, 1.0])
+    off2 = np.array([0.25])
+    shifts = np.array([1.0, 0.25, 2.0])
+    got = kernels.sturm_counts(diag, off2, shifts)
+    assert np.array_equal(got, _reference_counts(diag, off2, shifts))
+    assert got.tolist() == [1, 0, 2]  # eigenvalues 0.5 and 1.5
 
 
 def test_solve_residual():

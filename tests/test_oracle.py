@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from susywell import kernels, oracle
 from susywell.hyperpoly import eigenfunction, evaluate, ground_form
 from susywell.oracle import (
     DiscretizedHamiltonian,
@@ -64,17 +65,78 @@ def test_build_hamiltonian_rejects_singular_grid():
 
 def test_particle_in_a_box_levels():
     # V = 0 on (0, pi): eigenvalues k^2 up to O(h^2)
-    n = 4000
-    grid = RadialGrid(x_min=1e-9, x_max=math.pi + 1e-9, n_points=n)
-    inv_h2 = 1.0 / grid.h**2
-    H = DiscretizedHamiltonian(
-        grid=grid,
-        diag=np.full(n, 2.0 * inv_h2),
-        offdiag=np.full(n - 1, -inv_h2),
-    )
-    vals = lowest_eigenvalues(H, 4)
+    vals = lowest_eigenvalues(_box_hamiltonian(), 4)
     for k, v in enumerate(vals, start=1):
         assert v == pytest.approx(k * k, abs=5e-3 * k**4)
+
+
+def _box_hamiltonian(n=4000):
+    grid = RadialGrid(x_min=1e-9, x_max=math.pi + 1e-9, n_points=n)
+    inv_h2 = 1.0 / grid.h**2
+    return DiscretizedHamiltonian(
+        grid=grid, diag=np.full(n, 2.0 * inv_h2), offdiag=np.full(n - 1, -inv_h2)
+    )
+
+
+def _reference_lowest(H, m):
+    # one bisection level per count: the loop multisection must reproduce
+    off2 = H.offdiag * H.offdiag
+    pivmin = kernels.pivot_floor(off2)
+    radius = np.abs(H.offdiag)
+    reach = np.zeros_like(H.diag)
+    reach[:-1] += radius
+    reach[1:] += radius
+    lo_bound = float(np.min(H.diag - reach))
+    hi_bound = float(np.max(H.diag + reach))
+    tol = oracle._BISECT_REL_TOL * max(abs(lo_bound), abs(hi_bound), 1.0)
+    lo = np.full(m, lo_bound)
+    hi = np.full(m, hi_bound)
+    want = np.arange(1, m + 1)
+    while not np.all(hi - lo <= tol):
+        mid = 0.5 * (lo + hi)
+        below = kernels.sturm_counts(H.diag, off2, mid, pivmin) >= want
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return [float(v) for v in 0.5 * (lo + hi)]
+
+
+@pytest.mark.parametrize(
+    "well, m",
+    [("box", 1), ("box", 4), (("7", "1/2"), 11), (("10", "1/4"), 24)],
+    ids=["box-m1", "box-m4", "7,1/2-m11", "10,1/4-m24"],
+)
+def test_multisection_matches_plain_bisection(well, m):
+    if well == "box":
+        H = _box_hamiltonian()
+    else:
+        params = make_params(*well)
+        H = build_hamiltonian(params, default_grid(params))
+    assert lowest_eigenvalues(H, m) == _reference_lowest(H, m)
+
+
+def test_bisection_solve_makes_few_counts(monkeypatch):
+    # one count call per multisection pass: 9 for this solve, 44 with one
+    # bisection level per call
+    calls = []
+    count = kernels.sturm_counts
+
+    def counting(*args, **kwargs):
+        calls.append(np.size(args[2]))
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "sturm_counts", counting)
+    H = build_hamiltonian(PR, default_grid(PR))
+    lowest_eigenvalues(H, 11)
+    assert len(calls) <= 10
+    assert max(calls) <= kernels.SHIFT_BATCH
+
+
+def test_bisection_iteration_limit(monkeypatch):
+    # a zero tolerance never closes the bracket of an eigenvalue that falls
+    # between two floats
+    monkeypatch.setattr(oracle, "_BISECT_REL_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="iteration limit"):
+        lowest_eigenvalues(_box_hamiltonian(200), 2)
 
 
 def test_two_by_two_bisection():
