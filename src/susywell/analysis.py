@@ -32,13 +32,14 @@ class MinimumReport:
     poly_root_probe: tuple[float, float]
 
     def to_json_dict(self) -> dict:
+        """Plain JSON values: a probe that overflowed float64 is None (null)."""
         return {
             "x0": self.x0,
             "V_min": self.v_min,
             "derivative_residual": self.derivative_residual,
             "poly_root_probe": {
-                "exp_p_x0": self.poly_root_probe[0],
-                "exp_x0": self.poly_root_probe[1],
+                k: v if math.isfinite(v) else None
+                for k, v in zip(("exp_p_x0", "exp_x0"), self.poly_root_probe)
             },
         }
 

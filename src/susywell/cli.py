@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation failure, 2 bad parameters or grid,
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import analysis, hyperpoly, oracle
 from .params import make_params
+from .potential import potential_closed_form
 from .spectrum import full_spectrum, max_bound_states, state_decay_rate
 from .validate import run_validation
 
@@ -25,9 +27,16 @@ EXIT_BAD_PARAMETERS = 2
 EXIT_INDEX_OUT_OF_RANGE = 3
 
 
-def sig12(x: float) -> float:
-    """Round through 12 significant digits for stable, readable output."""
-    return float(f"{float(x):.12g}")
+def sig12(x: float) -> "float | None":
+    """Round through 12 significant digits for stable, readable output;
+    None (JSON null) for a non-finite number."""
+    v = float(f"{float(x):.12g}")
+    return v if math.isfinite(v) else None
+
+
+def _json_text(payload) -> str:
+    """Indented strict JSON; non-finite numbers must already be None."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -120,7 +129,7 @@ def cmd_spectrum(b_text, p_text, fmt, out):
         d["asymptote"] = sig12(d["asymptote"])
         for lv in d["levels"]:
             lv["E"] = sig12(lv["E"])
-        text = json.dumps(d, indent=2) + "\n"
+        text = _json_text(d)
     _emit(text, out)
 
 
@@ -168,7 +177,7 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
                 {"x": sig12(x), "psi": sig12(v)} for x, v in zip(xs, values)
             ],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     _emit(text, out)
 
 
@@ -183,25 +192,26 @@ def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out, perturb_po
     params = _parse_params(b_text, p_text)
     grid = _make_grid(params, x_min, x_max, grid_points)
     try:
-        report = run_validation(
-            params, n_points=grid.n_points, x_min=grid.x_min, x_max=grid.x_max,
-            perturb=perturb_potential,
-        )
-    except oracle.GridError as exc:  # e.g. every point inside the singular wall
+        report = run_validation(params, grid, perturb=perturb_potential)
+    except oracle.GridError as exc:  # inside the singular wall, or too few points
         click.echo(f"invalid grid: {exc}", err=True)
         sys.exit(EXIT_BAD_PARAMETERS)
     if fmt == "json":
-        text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        text = _json_text(report.to_json_dict())
     else:
         lines = ["check,status,detail"]
         lines += [
             f"{c.name},{'PASS' if c.passed else 'FAIL'},\"{c.detail}\""
             for c in report.checks
         ]
-        probe = report.extras.get("poly_root_probe", {})
+        # a probe that overflowed float64 is None (JSON null) in the report
+        probe = {
+            k: math.inf if v is None else v
+            for k, v in report.extras["poly_root_probe"].items()
+        }
         lines.append(
-            f"poly-root-probe,RECORDED,\"|P(exp(p*x0))|={probe.get('exp_p_x0', float('nan')):.3e} "
-            f"|P(exp(x0))|={probe.get('exp_x0', float('nan')):.3e}\""
+            f"poly-root-probe,RECORDED,\"|P(exp(p*x0))|={probe['exp_p_x0']:.3e} "
+            f"|P(exp(x0))|={probe['exp_x0']:.3e}\""
         )
         text = "\n".join(lines) + "\n"
     _emit(text, out)
@@ -219,11 +229,9 @@ def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
     """Plot data: x, V(x), one level line per bound state, and the asymptote."""
     params = _parse_params(b_text, p_text)
     grid = _make_grid(params, x_min, x_max, grid_points)
-    n_max = max_bound_states(params)
     spec = full_spectrum(params)
+    n_max = spec.n_max
     xs = grid.points()
-    from .potential import potential_closed_form
-
     v = potential_closed_form(xs, params)
     asym = float(spec.asymptote)
     spans = []
@@ -259,7 +267,7 @@ def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
             ],
             "asymptote": sig12(asym),
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     _emit(text, out)
 
 
@@ -274,25 +282,22 @@ def cmd_minimum(b_text, p_text, fmt, out):
     except RuntimeError as exc:
         click.echo(f"minimum search failed: {exc}", err=True)
         sys.exit(EXIT_VALIDATION_FAILURE)
-    d = report.to_json_dict()
-    d["B_exact"] = str(params.B)
-    d["p_exact"] = str(params.p)
+    values = {
+        "x0": report.x0,
+        "V_min": report.v_min,
+        "derivative_residual": report.derivative_residual,
+    }
+    probe = dict(zip(("exp_p_x0", "exp_x0"), report.poly_root_probe))
     if fmt == "csv":
-        lines = ["key,value"]
-        lines.append(f"x0,{_fmt(d['x0'])}")
-        lines.append(f"V_min,{_fmt(d['V_min'])}")
-        lines.append(f"derivative_residual,{_fmt(d['derivative_residual'])}")
-        lines.append(f"probe_exp_p_x0,{_fmt(d['poly_root_probe']['exp_p_x0'])}")
-        lines.append(f"probe_exp_x0,{_fmt(d['poly_root_probe']['exp_x0'])}")
+        lines = ["key,value"] + [f"{k},{_fmt(v)}" for k, v in values.items()]
+        lines += [f"probe_{k},{_fmt(v)}" for k, v in probe.items()]
         text = "\n".join(lines) + "\n"
     else:
-        d["x0"] = sig12(d["x0"])
-        d["V_min"] = sig12(d["V_min"])
-        d["derivative_residual"] = sig12(d["derivative_residual"])
-        d["poly_root_probe"] = {
-            k: sig12(val) for k, val in d["poly_root_probe"].items()
-        }
-        text = json.dumps(d, indent=2) + "\n"
+        d = {k: sig12(v) for k, v in values.items()}
+        d["poly_root_probe"] = {k: sig12(v) for k, v in probe.items()}
+        d["B_exact"] = str(params.B)
+        d["p_exact"] = str(params.p)
+        text = _json_text(d)
     _emit(text, out)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,9 +77,6 @@ class Spectrum:
             ],
         }
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_csv_lines(self) -> list[str]:
         lines = ["n,E"]

@@ -2,20 +2,22 @@
 
 Each check is independent and reports a measured number next to its
 threshold, so a failure says *how far off* the claim is, not just that it
-failed.  The suite is deterministic for fixed inputs.
+failed.  Every check reads one record of the well, built once.  The suite
+is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from . import analysis, hyperpoly, oracle
 from .params import ModelParams, ladder
 from .potential import partner_plus, potential_closed_form, shape_invariance_residual
-from .spectrum import full_spectrum, max_bound_states, state_decay_rate
+from .spectrum import Spectrum, full_spectrum, max_bound_states, state_decay_rate
 
 ENERGY_ABS_TOL = 0.05
 ENERGY_REL_TOL = 1e-4
@@ -63,19 +65,37 @@ class ValidationReport:
         }
 
 
-def _check_telescoping(params: ModelParams) -> CheckResult:
-    # full_spectrum compares the closed, telescoped and summed routes
-    # exactly and raises on any disagreement
-    n_max = full_spectrum(params).n_max
+@dataclass(frozen=True)
+class _Well:
+    params: ModelParams
+    perturb: float
+    spec: Spectrum
+    H: oracle.DiscretizedHamiltonian  # on the report's grid, H.grid
+    numeric: list[float]  # the n_max + 4 lowest levels of H
+    forms: list[hyperpoly.HyperbolicForm]  # the exact forms n = 0..n_max
+    extras: dict
+
+
+def _hamiltonian(params, grid, perturb) -> oracle.DiscretizedHamiltonian:
+    H = oracle.build_hamiltonian(params, grid)
+    if perturb != 0.0:
+        H = replace(H, diag=H.diag + perturb * potential_closed_form(grid.points(), params))
+    return H
+
+
+def _check_telescoping(well: _Well) -> CheckResult:
+    # full_spectrum compared the closed, telescoped and summed routes
+    # exactly and would have raised on any disagreement
     return CheckResult(
-        "telescoping", True, f"sum of shift constants equals closed form for n<=n_max={n_max}"
+        "telescoping", True,
+        f"sum of shift constants equals closed form for n<=n_max={well.spec.n_max}",
     )
 
 
-def _check_cutoff(params: ModelParams) -> CheckResult:
-    n_max = max_bound_states(params)
-    last = state_decay_rate(params, n_max)
-    beyond = state_decay_rate(params, n_max + 1)
+def _check_cutoff(well: _Well) -> CheckResult:
+    n_max = well.spec.n_max
+    last = state_decay_rate(well.params, n_max)
+    beyond = state_decay_rate(well.params, n_max + 1)
     ok = last < 0 <= beyond
     return CheckResult(
         "normalizability-cutoff",
@@ -84,12 +104,11 @@ def _check_cutoff(params: ModelParams) -> CheckResult:
     )
 
 
-def _check_prefactor(params: ModelParams) -> CheckResult:
-    n_max = max_bound_states(params)
+def _check_prefactor(well: _Well) -> CheckResult:
+    params = well.params
     sigma_expect = -(params.B + params.p) / params.p
     tau_expect = params.B / params.p
-    for n in range(n_max + 1):
-        form = hyperpoly.eigenfunction(n, params)
+    for n, form in enumerate(well.forms):
         if form.sigma != sigma_expect or form.tau != tau_expect:
             return CheckResult(
                 "prefactor-exponents", False,
@@ -106,13 +125,10 @@ def _check_prefactor(params: ModelParams) -> CheckResult:
     )
 
 
-def _check_first_excited(params: ModelParams) -> CheckResult:
-    form = hyperpoly.apply_creation(
-        hyperpoly.ground_form(ladder(params, 1), params.p), ladder(params, 0)
-    )
-    c = 2 * params.B + params.p
+def _check_first_excited(well: _Well) -> CheckResult:
+    c = 2 * well.params.B + well.params.p
     expect = (Fraction(0), -2 * c, c)
-    got = form.coeffs
+    got = well.forms[1].coeffs
     ok = len(got) == 3 and got[0] == 0 and got[1] * expect[2] == got[2] * expect[1]
     return CheckResult(
         "first-excited-coefficients",
@@ -121,14 +137,14 @@ def _check_first_excited(params: ModelParams) -> CheckResult:
     )
 
 
-def _check_shape_invariance(params: ModelParams) -> CheckResult:
+def _check_shape_invariance(well: _Well) -> CheckResult:
     # scan exactly the rungs the eigenfunction construction uses
-    n_max = max_bound_states(params)
+    params = well.params
     p = float(params.p)
     xs = np.geomspace(1e-3 / p, 30.0 / p, 10_000)
     worst = 0.0
     worst_k = 0
-    for k in range(max(1, n_max)):
+    for k in range(max(1, well.spec.n_max)):
         res = shape_invariance_residual(xs, params, k)
         scale = np.maximum(1.0, np.abs(partner_plus(xs, ladder(params, k), params.p)))
         m = float(np.max(np.abs(res) / scale))
@@ -141,33 +157,21 @@ def _check_shape_invariance(params: ModelParams) -> CheckResult:
     )
 
 
-def _solve_levels(params, x_min, x_max, n_points, m, perturb):
-    grid = oracle.RadialGrid(x_min=x_min, x_max=x_max, n_points=n_points)
-    H = oracle.build_hamiltonian(params, grid)
-    if perturb != 0.0:
-        v = potential_closed_form(grid.points(), params)
-        H = oracle.DiscretizedHamiltonian(
-            grid=grid, diag=H.diag + perturb * v, offdiag=H.offdiag
-        )
-    return grid, H, oracle.lowest_eigenvalues(H, m)
-
-
-def _check_energies(params, grid, H, numeric, extras) -> CheckResult:
-    spec = full_spectrum(params)
-    asym = float(spec.asymptote)
+def _check_energies(well: _Well) -> CheckResult:
+    asym = float(well.spec.asymptote)
     tol = max(ENERGY_ABS_TOL, ENERGY_REL_TOL * asym)
     table = []
     worst = 0.0
     worst_n = 0
-    for n, e in spec.levels:
-        diff = numeric[n] - float(e)
+    for n, e in well.spec.levels:
+        diff = well.numeric[n] - float(e)
         table.append(
-            {"n": n, "closed": float(e), "numeric": numeric[n], "difference": diff}
+            {"n": n, "closed": float(e), "numeric": well.numeric[n], "difference": diff}
         )
         if abs(diff) > worst:
             worst, worst_n = abs(diff), n
-    extras["energy_comparison"] = table
-    extras["levels_below_asymptote"] = int(sum(1 for v in numeric if v < asym))
+    well.extras["energy_comparison"] = table
+    well.extras["levels_below_asymptote"] = int(sum(1 for v in well.numeric if v < asym))
     return CheckResult(
         "spectrum-vs-oracle",
         worst <= tol,
@@ -175,13 +179,13 @@ def _check_energies(params, grid, H, numeric, extras) -> CheckResult:
     )
 
 
-def _check_convergence(params, x_min, x_max, perturb) -> CheckResult:
+def _check_convergence(well: _Well) -> CheckResult:
     # difference ratio on E_1 across h, h/2, h/4; immune to the constant
     # truncation offset, isolates the h^2 order of the stencil
     e = []
     for n_points in (2999, 5999, 11999):
-        _, _, vals = _solve_levels(params, x_min, x_max, n_points, 2, perturb)
-        e.append(vals[1])
+        H = _hamiltonian(well.params, replace(well.H.grid, n_points=n_points), well.perturb)
+        e.append(oracle.lowest_eigenvalues(H, 2)[1])
     d1, d2 = e[0] - e[1], e[1] - e[2]
     if d2 == 0.0:
         return CheckResult("convergence-order", False, "degenerate refinement differences")
@@ -194,24 +198,17 @@ def _check_convergence(params, x_min, x_max, perturb) -> CheckResult:
     )
 
 
-def _residual_norm(params, form, energy_value, xs) -> float:
-    psi, _, d2 = hyperpoly.evaluate_derivatives(form, xs)
-    v = potential_closed_form(xs, params)
-    r = -d2 + (v - energy_value) * psi
-    scale = float((params.A - params.B) ** 2)
-    denom = np.linalg.norm(scale * psi)
-    return float(np.linalg.norm(r) / denom)
-
-
-def _check_residuals(params) -> CheckResult:
-    n_max = max_bound_states(params)
-    spec = full_spectrum(params)
+def _check_residuals(well: _Well) -> CheckResult:
+    params = well.params
     p = float(params.p)
     xs = np.linspace(0.05 / p, 24.0 / p, 4000)
+    v = potential_closed_form(xs, params)
+    scale = float((params.A - params.B) ** 2)
     worst, worst_n = 0.0, 0
-    for n in range(n_max + 1):
-        form = hyperpoly.eigenfunction(n, params)
-        rel = _residual_norm(params, form, float(spec.levels[n][1]), xs)
+    for (n, e), form in zip(well.spec.levels, well.forms):
+        psi, _, d2 = hyperpoly.evaluate_derivatives(form, xs)
+        r = -d2 + (v - float(e)) * psi
+        rel = float(np.linalg.norm(r) / np.linalg.norm(scale * psi))
         if rel > worst:
             worst, worst_n = rel, n
     return CheckResult(
@@ -221,13 +218,12 @@ def _check_residuals(params) -> CheckResult:
     )
 
 
-def _check_nodes(params) -> CheckResult:
-    n_max = max_bound_states(params)
-    p = float(params.p)
+def _check_nodes(well: _Well) -> CheckResult:
+    p = float(well.params.p)
     xs = np.linspace(1e-3 / p, 30.0 / p, 200_001)
     bad = []
-    for n in range(n_max + 1):
-        mant, _ = hyperpoly.evaluate_scaled(hyperpoly.eigenfunction(n, params), xs)
+    for n, form in enumerate(well.forms):
+        mant, _ = hyperpoly.evaluate_scaled(form, xs)
         nodes = oracle.count_nodes(mant)
         if nodes != n:
             bad.append((n, nodes))
@@ -238,22 +234,19 @@ def _check_nodes(params) -> CheckResult:
     )
 
 
-def _check_orthogonality(params) -> CheckResult:
-    n_max = max_bound_states(params)
-    p = float(params.p)
+def _check_orthogonality(well: _Well) -> CheckResult:
+    p = float(well.params.p)
     grid = oracle.RadialGrid(x_min=0.005 / p, x_max=30.0 / p, n_points=60_000)
     xs = grid.points()
     vecs = []
-    for n in range(n_max + 1):
-        v = hyperpoly.evaluate(hyperpoly.eigenfunction(n, params), xs)
-        v = v / np.sqrt(oracle.inner_product(v, v, grid))
-        vecs.append(v)
+    for form in well.forms:
+        v = hyperpoly.evaluate(form, xs)
+        vecs.append(v / np.sqrt(oracle.inner_product(v, v, grid)))
     worst, pair = 0.0, (0, 0)
-    for i in range(n_max + 1):
-        for j in range(i + 1, n_max + 1):
-            ov = abs(oracle.inner_product(vecs[i], vecs[j], grid))
-            if ov > worst:
-                worst, pair = ov, (i, j)
+    for i, j in combinations(range(len(vecs)), 2):
+        ov = abs(oracle.inner_product(vecs[i], vecs[j], grid))
+        if ov > worst:
+            worst, pair = ov, (i, j)
     return CheckResult(
         "orthogonality",
         worst <= OVERLAP_TOL,
@@ -261,13 +254,13 @@ def _check_orthogonality(params) -> CheckResult:
     )
 
 
-def _check_annihilation(params, grid) -> CheckResult:
+def _check_annihilation(well: _Well) -> CheckResult:
     # norms exclude x < 0.2/p: the x^tau cusp at the origin is outside the
     # derivative stencil's accuracy range for soft exponents
-    xs = grid.points()
-    keep = xs >= 0.2 / float(params.p)
-    psi0 = hyperpoly.evaluate(hyperpoly.eigenfunction(0, params), xs)
-    out = oracle.apply_ladder_numeric(params, 0, "annihilation", psi0, grid)
+    xs = well.H.grid.points()
+    keep = xs >= 0.2 / float(well.params.p)
+    psi0 = hyperpoly.evaluate(well.forms[0], xs)
+    out = oracle.apply_ladder_numeric(well.params, 0, "annihilation", psi0, well.H.grid)
     ratio = float(np.linalg.norm(out[keep]) / np.linalg.norm(psi0[keep]))
     return CheckResult(
         "annihilation",
@@ -276,12 +269,13 @@ def _check_annihilation(params, grid) -> CheckResult:
     )
 
 
-def _check_intertwining(params, grid) -> CheckResult:
+def _check_intertwining(well: _Well) -> CheckResult:
     # A psi_1 must be an eigenvector of the plus-partner at the same level
+    params, grid = well.params, well.H.grid
     xs = grid.points()
-    psi1 = hyperpoly.evaluate(hyperpoly.eigenfunction(1, params), xs)
+    psi1 = hyperpoly.evaluate(well.forms[1], xs)
     down = oracle.apply_ladder_numeric(params, 0, "annihilation", psi1, grid)
-    e1 = float(full_spectrum(params).levels[1][1])
+    e1 = float(well.spec.levels[1][1])
     vplus = partner_plus(xs, ladder(params, 0), params.p)
     h = grid.h
     lap = np.empty_like(down)
@@ -303,20 +297,20 @@ def _check_intertwining(params, grid) -> CheckResult:
     )
 
 
-def _check_oracle_self(params, grid, H, numeric) -> CheckResult:
-    n_max = max_bound_states(params)
-    norm = H.norm_bound()
+def _check_oracle_self(well: _Well) -> CheckResult:
+    grid = well.H.grid
+    norm = well.H.norm_bound()
     issues = []
     xs = grid.points()
-    for n in range(min(n_max, 1) + 1):
-        res = oracle.eigenvector_for(H, numeric[n])
+    for n, form in enumerate(well.forms[:2]):
+        res = oracle.eigenvector_for(well.H, well.numeric[n])
         if res.residual > 1e-8 * norm:
             issues.append(f"n={n} residual {res.residual:.2e}")
         if res.node_count != n:
             issues.append(f"n={n} node count {res.node_count}")
         if res.index != n:
             issues.append(f"n={n} index {res.index}")
-        sym = hyperpoly.evaluate(hyperpoly.eigenfunction(n, params), xs)
+        sym = hyperpoly.evaluate(form, xs)
         sym = sym / np.sqrt(oracle.inner_product(sym, sym, grid))
         num = res.eigenvector
         if oracle.inner_product(sym, num, grid) < 0:
@@ -334,10 +328,11 @@ def _check_oracle_self(params, grid, H, numeric) -> CheckResult:
     )
 
 
-def _check_minimum(params, extras) -> CheckResult:
+def _check_minimum(well: _Well) -> CheckResult:
+    params = well.params
     report = analysis.find_minimum(params)
-    extras["minimum"] = report.to_json_dict()
-    extras["poly_root_probe"] = report.to_json_dict()["poly_root_probe"]
+    well.extras["minimum"] = report.to_json_dict()
+    well.extras["poly_root_probe"] = well.extras["minimum"]["poly_root_probe"]
     scale = float(params.p) * float((params.A - params.B) ** 2)
     issues = []
     if not report.v_min < 0.0:
@@ -359,36 +354,40 @@ def _check_minimum(params, extras) -> CheckResult:
     )
 
 
+# report order: it fixes the JSON/CSV bytes and first_failure
+_CHECKS = (
+    _check_telescoping, _check_cutoff, _check_prefactor, _check_first_excited,
+    _check_shape_invariance, _check_energies, _check_convergence, _check_residuals,
+    _check_nodes, _check_orthogonality, _check_annihilation, _check_intertwining,
+    _check_oracle_self, _check_minimum,
+)
+
+
 def run_validation(
     params: ModelParams,
-    n_points: int = 12000,
-    x_min: "float | None" = None,
-    x_max: "float | None" = None,
+    grid: "oracle.RadialGrid | None" = None,
     perturb: float = 0.0,
 ) -> ValidationReport:
-    """Run every check; deterministic, all tolerances fixed here."""
-    report = ValidationReport(params=params)
-    if x_min is None or x_max is None:
-        base = oracle.default_grid(params, n_points)
-        x_min = base.x_min if x_min is None else x_min
-        x_max = base.x_max if x_max is None else x_max
-
+    """Run every check; deterministic, all tolerances fixed here.  grid=None
+    means oracle.default_grid(params); GridError when it is too coarse."""
+    grid = oracle.default_grid(params) if grid is None else grid
     n_max = max_bound_states(params)
     m = n_max + 4  # a few beyond the cutoff: exposes extra true levels, if any
-    grid, H, numeric = _solve_levels(params, x_min, x_max, n_points, m, perturb)
-
-    report.checks.append(_check_telescoping(params))
-    report.checks.append(_check_cutoff(params))
-    report.checks.append(_check_prefactor(params))
-    report.checks.append(_check_first_excited(params))
-    report.checks.append(_check_shape_invariance(params))
-    report.checks.append(_check_energies(params, grid, H, numeric, report.extras))
-    report.checks.append(_check_convergence(params, x_min, x_max, perturb))
-    report.checks.append(_check_residuals(params))
-    report.checks.append(_check_nodes(params))
-    report.checks.append(_check_orthogonality(params))
-    report.checks.append(_check_annihilation(params, grid))
-    report.checks.append(_check_intertwining(params, grid))
-    report.checks.append(_check_oracle_self(params, grid, H, numeric))
-    report.checks.append(_check_minimum(params, report.extras))
-    return report
+    if m > grid.n_points:
+        raise oracle.GridError(
+            f"{grid.n_points} points are too few: the oracle solve "
+            f"needs at least n_max + 4 = {m} grid points"
+        )
+    H = _hamiltonian(params, grid, perturb)
+    well = _Well(
+        params=params,
+        perturb=perturb,
+        spec=full_spectrum(params),
+        H=H,
+        numeric=oracle.lowest_eigenvalues(H, m),
+        forms=[hyperpoly.eigenfunction(n, params) for n in range(n_max + 1)],
+        extras={},
+    )
+    return ValidationReport(
+        params=params, checks=[check(well) for check in _CHECKS], extras=well.extras
+    )

@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
+from susywell import analysis
 from susywell.cli import main
 
 
@@ -101,7 +103,51 @@ def test_minimum_probe_beyond_float_range(runner, fmt):
         rows = dict(line.split(",") for line in result.output.strip().splitlines()[1:])
         probe = {"exp_p_x0": float(rows["probe_exp_p_x0"]), "exp_x0": float(rows["probe_exp_x0"])}
     assert math.isfinite(probe["exp_p_x0"])
-    assert probe["exp_x0"] == math.inf
+    # JSON has no infinity: strict output writes null, CSV keeps inf
+    assert probe["exp_x0"] == (None if fmt == "json" else math.inf)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["figure", "--B", "7", "--p", "0.5", "--x-min", "1e-12", "--x-max", "1e-9",
+         "--grid-points", "100"],
+        ["minimum", "--B", "1000", "--p", "1/1000"],
+    ],
+)
+def test_json_output_is_strict(runner, args):
+    # both payloads hold non-finite numbers: V inside the wall, an overflowed probe
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    d = json.loads(result.output, parse_constant=_reject_constant)
+    assert None in (d["V"] if args[0] == "figure" else d["poly_root_probe"].values())
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_validate_overflowed_probe(runner, monkeypatch, fmt):
+    # as on deep, narrow wells such as B=1/10 p=1/1000, where exp(x0)^2 overflows
+    real = analysis.find_minimum
+
+    def overflowed(params):
+        report = real(params)
+        return replace(report, poly_root_probe=(report.poly_root_probe[0], math.inf))
+
+    monkeypatch.setattr(analysis, "find_minimum", overflowed)
+    result = runner.invoke(
+        main,
+        ["validate", "--B", "0.6", "--p", "0.5", "--grid-points", "6000", "--format", fmt],
+    )
+    assert result.exit_code == 0
+    if fmt == "json":
+        extras = json.loads(result.output, parse_constant=_reject_constant)["extras"]
+        assert extras["poly_root_probe"]["exp_x0"] is None
+        assert extras["minimum"]["poly_root_probe"]["exp_x0"] is None
+    else:
+        assert "|P(exp(x0))|=inf" in result.output.splitlines()[-1]
 
 
 def test_figure_csv(runner):
@@ -209,6 +255,7 @@ def test_out_file_and_env_dir(runner, tmp_path, monkeypatch):
         ["figure", "--B", "7", "--p", "0.5", "--x-min", "3", "--x-max", "2"],
         ["validate", "--B", "7", "--p", "0.5", "--grid-points", "50"],
         ["validate", "--B", "7", "--p", "0.5", "--x-min", "1e-12", "--x-max", "1e-9"],
+        ["validate", "--B", "1000", "--p", "1/1000"],
     ],
 )
 def test_bad_grid_is_a_parameter_error(runner, args):

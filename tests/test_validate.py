@@ -1,5 +1,6 @@
 import pytest
 
+from susywell import hyperpoly, oracle, validate
 from susywell.params import make_params
 from susywell.validate import run_validation
 
@@ -11,6 +12,24 @@ BROKEN_FOR_DEEP_WELLS = {
     "eigenfunction-residual",
     "orthogonality",
 }
+
+# report order, which fixes the JSON/CSV bytes and first_failure
+CHECK_NAMES = [
+    "telescoping",
+    "normalizability-cutoff",
+    "prefactor-exponents",
+    "first-excited-coefficients",
+    "shape-invariance",
+    "spectrum-vs-oracle",
+    "convergence-order",
+    "eigenfunction-residual",
+    "node-count",
+    "orthogonality",
+    "annihilation",
+    "intertwining",
+    "oracle-selfcheck",
+    "minimum-and-polynomial",
+]
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +88,41 @@ def test_report_serialization(small_report):
     names = [c["name"] for c in d["checks"]]
     assert "spectrum-vs-oracle" in names and "minimum-and-polynomial" in names
     assert "poly_root_probe" in d["extras"]
+
+
+def test_check_order(deep_report, small_report):
+    assert [c.name for c in deep_report.checks] == CHECK_NAMES
+    assert [c.name for c in small_report.checks] == CHECK_NAMES
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_builds_each_form_and_spectrum_once(monkeypatch, deep_report):
+    params = make_params(7, 0.5)  # n_max = 7
+    forms = _counting(monkeypatch, hyperpoly, "candidate_form")
+    spectra = _counting(monkeypatch, validate, "full_spectrum")
+    report = run_validation(params, oracle.default_grid(params))
+    assert sorted(n for n, _ in forms) == list(range(8))
+    assert len(spectra) == 1
+    # an explicit default grid is the same run as grid=None
+    assert report.to_json_dict() == deep_report.to_json_dict()
+
+
+def test_too_few_points_fail_before_any_work(monkeypatch):
+    def fail(params):
+        raise AssertionError("full_spectrum ran before the grid-size guard")
+
+    monkeypatch.setattr(validate, "full_spectrum", fail)
+    params = make_params(1000, "1/1000")  # n_max = 500000
+    with pytest.raises(oracle.GridError, match="n_max \\+ 4 = 500004 grid points"):
+        run_validation(params)
