@@ -31,18 +31,6 @@ class MinimumReport:
     derivative_residual: float
     poly_root_probe: tuple[float, float]
 
-    def to_json_dict(self) -> dict:
-        """Plain JSON values: a probe that overflowed float64 is None (null)."""
-        return {
-            "x0": self.x0,
-            "V_min": self.v_min,
-            "derivative_residual": self.derivative_residual,
-            "poly_root_probe": {
-                k: v if math.isfinite(v) else None
-                for k, v in zip(("exp_p_x0", "exp_x0"), self.poly_root_probe)
-            },
-        }
-
 
 def minimum_polynomial_coefficients(B, p) -> tuple:
     """Coefficients of the even-degree minimum polynomial, powers 0..20.

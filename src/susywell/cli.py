@@ -27,20 +27,44 @@ EXIT_BAD_PARAMETERS = 2
 EXIT_INDEX_OUT_OF_RANGE = 3
 
 
-def sig12(x: float) -> "float | None":
-    """Round through 12 significant digits for stable, readable output;
-    None (JSON null) for a non-finite number."""
-    v = float(f"{float(x):.12g}")
-    return v if math.isfinite(v) else None
+def sig12(x: float) -> float:
+    """Round through 12 significant digits for stable, readable output."""
+    return float(f"{float(x):.12g}")
+
+
+def _strict(tree):
+    """Copy of a JSON payload with every non-finite float as None (null)."""
+    if isinstance(tree, float):
+        return tree if math.isfinite(tree) else None
+    if isinstance(tree, dict):
+        return {k: _strict(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_strict(v) for v in tree]
+    return tree
 
 
 def _json_text(payload) -> str:
-    """Indented strict JSON; non-finite numbers must already be None."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Indented strict JSON: inf and nan are written as null."""
+    return json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+def _pair(f: Fraction) -> list:
+    return [f.numerator, f.denominator]
+
+
+def _minimum_fields(report: analysis.MinimumReport) -> dict:
+    """The minimum's output fields as plain floats, for `minimum` and `validate`;
+    a probe that overflowed float64 is inf."""
+    return {
+        "x0": report.x0,
+        "V_min": report.v_min,
+        "derivative_residual": report.derivative_residual,
+        "poly_root_probe": dict(zip(("exp_p_x0", "exp_x0"), report.poly_root_probe)),
+    }
 
 
 def _parse_params(b_text: str, p_text: str):
@@ -123,13 +147,20 @@ def cmd_spectrum(b_text, p_text, fmt, out):
     params = _parse_params(b_text, p_text)
     spec = full_spectrum(params)
     if fmt == "csv":
-        text = "\n".join(spec.to_csv_lines()) + "\n"
+        text = "n,E\n" + "".join(f"{n},{_fmt(e)}\n" for n, e in spec.levels)
     else:
-        d = spec.to_json_dict()
-        d["asymptote"] = sig12(d["asymptote"])
-        for lv in d["levels"]:
-            lv["E"] = sig12(lv["E"])
-        text = _json_text(d)
+        text = _json_text({
+            "B": float(params.B),
+            "p": float(params.p),
+            "A": float(params.A),
+            "B_exact": str(params.B),
+            "p_exact": str(params.p),
+            "A_exact": str(params.A),
+            "n_max": spec.n_max,
+            "asymptote": sig12(spec.asymptote),
+            "asymptote_exact": str(spec.asymptote),
+            "levels": [{"n": n, "E": sig12(e), "E_exact": str(e)} for n, e in spec.levels],
+        })
     _emit(text, out)
 
 
@@ -171,7 +202,12 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
             "n": state_index,
             "B_exact": str(params.B),
             "p_exact": str(params.p),
-            "form": form.to_json_dict(),
+            "form": {
+                "sigma": _pair(form.sigma),
+                "tau": _pair(form.tau),
+                "p": _pair(form.p),
+                "coeffs": [_pair(c) for c in form.coeffs],
+            },
             "decay_exponent": sig12(hyperpoly.decay_exponent(form)),
             "samples": [
                 {"x": sig12(x), "psi": sig12(v)} for x, v in zip(xs, values)
@@ -197,21 +233,28 @@ def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out, perturb_po
         click.echo(f"invalid grid: {exc}", err=True)
         sys.exit(EXIT_BAD_PARAMETERS)
     if fmt == "json":
-        text = _json_text(report.to_json_dict())
+        minimum = _minimum_fields(report.extras["minimum"])
+        text = _json_text({
+            "B": str(params.B),
+            "p": str(params.p),
+            "passed": report.passed,
+            "checks": [
+                {"name": c.name, "passed": c.passed, "detail": c.detail}
+                for c in report.checks
+            ],
+            "extras": {**report.extras, "minimum": minimum,
+                       "poly_root_probe": minimum["poly_root_probe"]},
+        })
     else:
         lines = ["check,status,detail"]
         lines += [
             f"{c.name},{'PASS' if c.passed else 'FAIL'},\"{c.detail}\""
             for c in report.checks
         ]
-        # a probe that overflowed float64 is None (JSON null) in the report
-        probe = {
-            k: math.inf if v is None else v
-            for k, v in report.extras["poly_root_probe"].items()
-        }
+        probe = report.extras["minimum"].poly_root_probe
         lines.append(
-            f"poly-root-probe,RECORDED,\"|P(exp(p*x0))|={probe['exp_p_x0']:.3e} "
-            f"|P(exp(x0))|={probe['exp_x0']:.3e}\""
+            f"poly-root-probe,RECORDED,\"|P(exp(p*x0))|={probe[0]:.3e} "
+            f"|P(exp(x0))|={probe[1]:.3e}\""
         )
         text = "\n".join(lines) + "\n"
     _emit(text, out)
@@ -233,25 +276,22 @@ def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
     n_max = spec.n_max
     xs = grid.points()
     v = potential_closed_form(xs, params)
-    asym = float(spec.asymptote)
     spans = []
     threshold = 0.02
     for n in range(n_max + 1):
         vals = np.abs(hyperpoly.evaluate(hyperpoly.eigenfunction(n, params), xs))
-        on = vals > threshold * float(np.max(vals))
-        idx = np.where(on)[0]
-        spans.append((int(idx[0]), int(idx[-1])))
+        # empty, so no line, when no sample clears the threshold: every
+        # sample underflowed to 0, or the largest one is not finite
+        idx = np.flatnonzero(vals > threshold * float(np.max(vals)))
+        spans.append(range(idx[0], idx[-1] + 1) if idx.size else range(0))
     if fmt == "csv":
         header = "x,V," + ",".join(f"E{n}" for n in range(n_max + 1)) + ",asymptote"
-        lines = [header]
-        for i, x in enumerate(xs):
-            cells = [_fmt(x), _fmt(v[i])]
-            for n in range(n_max + 1):
-                lo, hi = spans[n]
-                cells.append(_fmt(float(spec.levels[n][1])) if lo <= i <= hi else "")
-            cells.append(_fmt(asym))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+        rows = len(xs)
+        columns = [[_fmt(x) for x in xs], [_fmt(val) for val in v]]
+        for (_, e), span in zip(spec.levels, spans):
+            columns.append([""] * span.start + [_fmt(e)] * len(span) + [""] * (rows - span.stop))
+        columns.append([_fmt(spec.asymptote)] * rows)
+        text = header + "\n" + "".join(",".join(cells) + "\n" for cells in zip(*columns))
     else:
         payload = {
             "x": [sig12(x) for x in xs],
@@ -259,13 +299,13 @@ def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
             "levels": [
                 {
                     "n": n,
-                    "E": sig12(float(spec.levels[n][1])),
-                    "x_start": sig12(xs[spans[n][0]]),
-                    "x_end": sig12(xs[spans[n][1]]),
+                    "E": sig12(e),
+                    "x_start": sig12(xs[span[0]]) if span else None,
+                    "x_end": sig12(xs[span[-1]]) if span else None,
                 }
-                for n in range(n_max + 1)
+                for (n, e), span in zip(spec.levels, spans)
             ],
-            "asymptote": sig12(asym),
+            "asymptote": sig12(spec.asymptote),
         }
         text = _json_text(payload)
     _emit(text, out)
@@ -282,18 +322,13 @@ def cmd_minimum(b_text, p_text, fmt, out):
     except RuntimeError as exc:
         click.echo(f"minimum search failed: {exc}", err=True)
         sys.exit(EXIT_VALIDATION_FAILURE)
-    values = {
-        "x0": report.x0,
-        "V_min": report.v_min,
-        "derivative_residual": report.derivative_residual,
-    }
-    probe = dict(zip(("exp_p_x0", "exp_x0"), report.poly_root_probe))
+    fields = _minimum_fields(report)
+    probe = fields.pop("poly_root_probe")
     if fmt == "csv":
-        lines = ["key,value"] + [f"{k},{_fmt(v)}" for k, v in values.items()]
-        lines += [f"probe_{k},{_fmt(v)}" for k, v in probe.items()]
-        text = "\n".join(lines) + "\n"
+        rows = [*fields.items(), *((f"probe_{k}", v) for k, v in probe.items())]
+        text = "key,value\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in rows)
     else:
-        d = {k: sig12(v) for k, v in values.items()}
+        d = {k: sig12(v) for k, v in fields.items()}
         d["poly_root_probe"] = {k: sig12(v) for k, v in probe.items()}
         d["B_exact"] = str(params.B)
         d["p_exact"] = str(params.p)

@@ -46,17 +46,6 @@ class HyperbolicForm:
     def top_index(self) -> int:
         return len(self.coeffs) - 1
 
-    def to_json_dict(self) -> dict:
-        def pair(f: Fraction):
-            return [f.numerator, f.denominator]
-
-        return {
-            "sigma": pair(self.sigma),
-            "tau": pair(self.tau),
-            "p": pair(self.p),
-            "coeffs": [pair(c) for c in self.coeffs],
-        }
-
 
 def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -100,18 +89,21 @@ def apply_creation(form: HyperbolicForm, target: LadderParams) -> HyperbolicForm
             "creation operator would break regularity at the origin "
             "(tau - 1 <= 0); the form is already past the physical ladder"
         )
+    # each product-to-sum image carries a factor 1/4
+    alpha = (u - v) / 4
+    beta = -(u + v) / 4
+    half_p = p / 2
     out = [Fraction(0)] * (len(form.coeffs) + 2)
     for k, a in enumerate(form.coeffs):
         if a == 0:
             continue
-        ua = u * a
-        va = v * a
-        w = 2 * k * p * a  # from P' = sum 2kp a_k sinh(2kpx)
-        quarter = Fraction(1, 4)
-        out[k + 2] += (ua - va - w) * quarter
-        out[abs(k - 2)] += (ua - va + w) * quarter
-        out[k + 1] += (-ua - va + w) * quarter
-        out[abs(k - 1)] += (-ua - va - w) * quarter
+        aa = alpha * a
+        ba = beta * a
+        g = k * half_p * a  # a quarter of 2kp a_k, from P' = sum 2kp a_k sinh(2kpx)
+        out[k + 2] += aa - g
+        out[abs(k - 2)] += aa + g
+        out[k + 1] += ba + g
+        out[abs(k - 1)] += ba - g
     coeffs = _trim(out)
     if coeffs == (Fraction(0),):
         raise ValueError("creation operator annihilated the form")

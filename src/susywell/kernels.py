@@ -78,7 +78,7 @@ def _count_below(diag, off_squared, shifts, pivmin):
     return counts
 
 
-def shifted_tridiag_solve(diag, off, shift, rhs, pivmin=None):
+def shifted_tridiag_solve(diag, off, shift, rhs):
     """Solve (T - shift*I) x = rhs for symmetric tridiagonal T.
 
     Thomas sweep with magnitude-clamped pivots: inverse iteration drives
@@ -90,8 +90,7 @@ def shifted_tridiag_solve(diag, off, shift, rhs, pivmin=None):
     n = diag.shape[0]
     if n < 2:
         raise ValueError("tridiagonal solve needs at least two rows")
-    if pivmin is None:
-        pivmin = pivot_floor(off * off)
+    pivmin = pivot_floor(off * off)
     shift = float(shift)
     cp = np.empty(n - 1, dtype=np.float64)
     x = np.empty(n, dtype=np.float64)

@@ -30,6 +30,8 @@ from .spectrum import max_bound_states, state_decay_rate
 _BISECT_REL_TOL = 1e-13
 _MAX_BISECT_ITER = 200
 _MAX_INVERSE_ITER = 60
+# largest grid: one float64 sample array stays at 80 MB
+_MAX_GRID_POINTS = 10_000_000
 
 
 class GridError(ValueError):
@@ -50,6 +52,8 @@ class RadialGrid:
             raise GridError("grid requires 0 < x_min < x_max < inf")
         if self.n_points < 100:
             raise GridError("grid requires at least 100 interior points")
+        if self.n_points > _MAX_GRID_POINTS:
+            raise GridError(f"grid allows at most {_MAX_GRID_POINTS} interior points")
 
     @property
     def h(self) -> float:
@@ -247,12 +251,12 @@ def inner_product(values_a: np.ndarray, values_b: np.ndarray, grid: RadialGrid) 
     return float(grid.h * np.dot(values_a, values_b))
 
 
-def count_nodes(values: np.ndarray, noise_floor: float = 1e-12) -> int:
-    """Strict sign changes, ignoring entries below noise_floor * max|values|."""
+def count_nodes(values: np.ndarray) -> int:
+    """Strict sign changes, ignoring entries below 1e-12 * max|values|."""
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         return 0
-    kept = values[np.abs(values) > noise_floor * scale]
+    kept = values[np.abs(values) > 1e-12 * scale]
     if kept.size < 2:
         return 0
     signs = np.sign(kept)

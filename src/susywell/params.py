@@ -20,7 +20,7 @@ def as_fraction(value: RationalInput, name: str = "value") -> Fraction:
     """Promote an input to an exact Fraction (floats read bit-exactly)."""
     try:
         return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"{name} must be a finite real or rational, got {value!r}") from exc
 
 
@@ -46,7 +46,7 @@ def make_params(B: RationalInput, p: RationalInput) -> ModelParams:
     """Validate (B, p) and derive A = 3(B + p).
 
     Raises ValueError naming the violated constraint when p <= 0, B <= 0,
-    or p >= B.
+    B or p overflows float64 or underflows it to 0, or p >= B.
     """
     B = as_fraction(B, "B")
     p = as_fraction(p, "p")
@@ -54,6 +54,12 @@ def make_params(B: RationalInput, p: RationalInput) -> ModelParams:
         raise ValueError("p must be positive")
     if B <= 0:
         raise ValueError("B must be positive")
+    for name, value in (("B", B), ("p", p)):
+        try:
+            if float(value) == 0.0:
+                raise ValueError(f"{name} underflows float64 to 0")
+        except OverflowError:
+            raise ValueError(f"{name} overflows float64") from None
     if p >= B:
         raise ValueError("admissibility requires 0 < p < B: p must be strictly less than B")
     return ModelParams(B=B, p=p, A=3 * (B + p))

@@ -1,4 +1,4 @@
-"""Closed-form ladder energies, bound-state counting, and serialization."""
+"""Closed-form ladder energies and bound-state counting."""
 
 from __future__ import annotations
 
@@ -59,30 +59,6 @@ class Spectrum:
     levels: tuple[tuple[int, Fraction], ...]
     n_max: int
     asymptote: Fraction
-
-    def to_json_dict(self) -> dict:
-        pr = self.params
-        out = {
-            "B": float(pr.B),
-            "p": float(pr.p),
-            "A": float(pr.A),
-            "B_exact": str(pr.B),
-            "p_exact": str(pr.p),
-            "A_exact": str(pr.A),
-            "n_max": self.n_max,
-            "asymptote": float(self.asymptote),
-            "asymptote_exact": str(self.asymptote),
-            "levels": [
-                {"n": n, "E": float(e), "E_exact": str(e)} for n, e in self.levels
-            ],
-        }
-        return out
-
-    def to_csv_lines(self) -> list[str]:
-        lines = ["n,E"]
-        for n, e in self.levels:
-            lines.append(f"{n},{float(e):.12g}")
-        return lines
 
 
 def full_spectrum(params: ModelParams) -> Spectrum:

@@ -40,6 +40,7 @@ class CheckResult:
 class ValidationReport:
     params: ModelParams
     checks: list[CheckResult] = field(default_factory=list)
+    # energy_comparison, levels_below_asymptote, minimum (an analysis.MinimumReport)
     extras: dict = field(default_factory=dict)
 
     @property
@@ -51,18 +52,6 @@ class ValidationReport:
             if not c.passed:
                 return c
         return None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "B": str(self.params.B),
-            "p": str(self.params.p),
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-            "extras": self.extras,
-        }
 
 
 @dataclass(frozen=True)
@@ -331,8 +320,7 @@ def _check_oracle_self(well: _Well) -> CheckResult:
 def _check_minimum(well: _Well) -> CheckResult:
     params = well.params
     report = analysis.find_minimum(params)
-    well.extras["minimum"] = report.to_json_dict()
-    well.extras["poly_root_probe"] = well.extras["minimum"]["poly_root_probe"]
+    well.extras["minimum"] = report
     scale = float(params.p) * float((params.A - params.B) ** 2)
     issues = []
     if not report.v_min < 0.0:

@@ -29,7 +29,9 @@ def test_spectrum_json(runner):
     d = json.loads(result.output)
     assert d["n_max"] == 7
     assert d["asymptote"] == 240.25
+    assert d["asymptote_exact"] == "961/4"
     assert d["A_exact"] == "45/2"
+    assert d["levels"][0] == {"n": 0, "E": 0.0, "E_exact": "0"}
     assert [lv["E"] for lv in d["levels"]] == [0, 58, 108, 150, 184, 210, 228, 238]
 
 
@@ -37,6 +39,19 @@ def test_spectrum_rejects_bad_parameters(runner):
     result = runner.invoke(main, ["spectrum", "--B", "1", "--p", "2"])
     assert result.exit_code == 2
     assert "0 < p < B" in result.output
+
+
+@pytest.mark.parametrize("command", ["spectrum", "minimum"])
+@pytest.mark.parametrize(
+    "couplings, message",
+    [(["--B", "1e309", "--p", "1e308"], "B overflows float64"),
+     (["--B", "7", "--p", "1e-400"], "p underflows float64 to 0")],
+)
+def test_couplings_outside_float64_are_parameter_errors(runner, command, couplings, message):
+    result = runner.invoke(main, [command, *couplings])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip().splitlines() == [f"invalid parameters: {message}"]
 
 
 def test_spectrum_deterministic(runner):
@@ -55,6 +70,7 @@ def test_eigenfunction_first_excited(runner):
     d = json.loads(result.output)
     assert d["form"]["sigma"] == [-15, 1]
     assert d["form"]["tau"] == [14, 1]
+    assert d["form"]["p"] == [1, 2]
     assert d["form"]["coeffs"] == [[0, 1], [-29, 1], [29, 2]]
     assert len(d["samples"]) == 150
     assert d["decay_exponent"] == -13.5
@@ -180,6 +196,29 @@ def test_figure_json_spans(runner):
         assert lv["x_start"] < lv["x_end"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_figure_levels_without_resolvable_samples(runner, fmt):
+    # every state underflows to 0 this close to the origin: no level lines
+    result = runner.invoke(
+        main,
+        ["figure", "--B", "7", "--p", "0.5", "--grid-points", "100", "--x-min", "1e-300",
+         "--x-max", "1e-299", "--format", fmt],
+    )
+    assert result.exit_code == 0
+    assert result.exception is None
+    if fmt == "json":
+        d = json.loads(result.output, parse_constant=_reject_constant)
+        assert len(d["levels"]) == 8
+        assert all(lv["x_start"] is None and lv["x_end"] is None for lv in d["levels"])
+        assert d["asymptote"] == 240.25
+    else:
+        lines = result.output.strip().split("\n")
+        assert len(lines) == 101
+        for row in lines[1:]:
+            cells = row.split(",")
+            assert cells[2:10] == [""] * 8 and cells[-1] == "240.25"
+
+
 def test_validate_small_well_passes(runner):
     result = runner.invoke(
         main,
@@ -188,6 +227,11 @@ def test_validate_small_well_passes(runner):
     assert result.exit_code == 0
     d = json.loads(result.output)
     assert d["passed"] is True
+    assert d["B"] == "3/5" and d["p"] == "1/2"
+    names = [c["name"] for c in d["checks"]]
+    assert "spectrum-vs-oracle" in names and "minimum-and-polynomial" in names
+    assert set(d["extras"]["poly_root_probe"]) == {"exp_p_x0", "exp_x0"}
+    assert d["extras"]["minimum"]["poly_root_probe"] == d["extras"]["poly_root_probe"]
 
 
 def test_validate_deep_well_reports_hierarchy_failures(runner):
@@ -256,6 +300,8 @@ def test_out_file_and_env_dir(runner, tmp_path, monkeypatch):
         ["validate", "--B", "7", "--p", "0.5", "--grid-points", "50"],
         ["validate", "--B", "7", "--p", "0.5", "--x-min", "1e-12", "--x-max", "1e-9"],
         ["validate", "--B", "1000", "--p", "1/1000"],
+        ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "1",
+         "--grid-points", "100000000000"],
     ],
 )
 def test_bad_grid_is_a_parameter_error(runner, args):

@@ -84,6 +84,34 @@ def test_apply_creation_matches_numeric_operator():
         assert np.max(np.abs(numeric - exact)) / scale < 1e-8
 
 
+def _creation_four_term(form, target):
+    """apply_creation's coefficients by the plain four-term formula."""
+    p = form.p
+    u = target.A - 3 * p * form.sigma
+    v = target.B + p * form.tau
+    out = [Fraction(0)] * (len(form.coeffs) + 2)
+    for k, a in enumerate(form.coeffs):
+        ua, va, w = u * a, v * a, 2 * k * p * a
+        out[k + 2] += (ua - va - w) / 4
+        out[abs(k - 2)] += (ua - va + w) / 4
+        out[k + 1] += (-ua - va + w) / 4
+        out[abs(k - 1)] += (-ua - va - w) / 4
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@pytest.mark.parametrize("b, p", [(7, "1/2"), ("51/16", "1/3"), (10, "1/4")])
+def test_apply_creation_matches_four_term_formula(b, p):
+    params = make_params(b, p)
+    for n in range(13):  # past n_max too: the recursion has no cutoff
+        form = ground_form(ladder(params, n), params.p)
+        for k in range(n - 1, -1, -1):
+            expect = _creation_four_term(form, ladder(params, k))
+            form = apply_creation(form, ladder(params, k))
+            assert form.coeffs == expect
+
+
 def test_eigenfunction_low_indices():
     f0 = eigenfunction(0, PR)
     assert f0 == ground_form(ladder(PR, 0), PR.p)
@@ -223,15 +251,6 @@ def test_orthogonality_exact_only_through_first_rung():
         for n in range(m + 1, 6)
     )
     assert worst > 1e-4
-
-
-def test_json_serialization_shape():
-    f1 = eigenfunction(1, PR)
-    d = f1.to_json_dict()
-    assert d["sigma"] == [-15, 1]
-    assert d["tau"] == [14, 1]
-    assert d["p"] == [1, 2]
-    assert d["coeffs"] == [[0, 1], [-29, 1], [29, 2]]
 
 
 def test_form_invariants_enforced():

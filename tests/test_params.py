@@ -29,6 +29,14 @@ def test_make_params_rejects_boundary_and_sign():
         make_params(-3, Fraction(1, 2))
     with pytest.raises(ValueError, match="strictly less than B"):
         make_params(1, 2)
+    with pytest.raises(ValueError, match="B overflows float64"):
+        make_params(Fraction(10**309), Fraction(10**308))
+    with pytest.raises(ValueError, match="p underflows float64 to 0"):
+        make_params(7, Fraction(1, 10**400))
+    with pytest.raises(ValueError, match="must be a finite real"):
+        make_params(float("inf"), 1)
+    pr = make_params(Fraction(1, 10**300), Fraction(1, 10**301))  # tiny but representable
+    assert pr.A == 3 * (pr.B + pr.p)
 
 
 def test_float_inputs_promote_exactly():

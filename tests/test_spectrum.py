@@ -86,15 +86,3 @@ def test_energy_equals_offset_difference():
         assert energy(n, pr) == ladder_offset(ladder(pr, n)) - ladder_offset(ladder(pr, 0))
 
 
-def test_serialization():
-    spec = full_spectrum(PR)
-    d = spec.to_json_dict()
-    assert d["n_max"] == 7
-    assert d["asymptote"] == 240.25
-    assert d["asymptote_exact"] == "961/4"
-    assert d["levels"][0] == {"n": 0, "E": 0.0, "E_exact": "0"}
-    assert d["levels"][-1]["E"] == 238.0
-    lines = spec.to_csv_lines()
-    assert lines[0] == "n,E"
-    assert lines[-1] == "7,238"
-    assert len(lines) == 9
