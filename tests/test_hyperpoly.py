@@ -1,10 +1,13 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from susywell.cli import main
 from susywell.hyperpoly import (
     HyperbolicForm,
     apply_creation,
@@ -251,6 +254,19 @@ def test_orthogonality_exact_only_through_first_rung():
         for n in range(m + 1, 6)
     )
     assert worst > 1e-4
+
+
+def test_json_serialization_shape():
+    # HyperbolicForm keeps plain Fractions; the CLI writes them as [num, den] pairs
+    result = CliRunner().invoke(
+        main, ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "1", "--grid-points", "150"]
+    )
+    assert result.exit_code == 0
+    d = json.loads(result.output)["form"]
+    assert d["sigma"] == [-15, 1]
+    assert d["tau"] == [14, 1]
+    assert d["p"] == [1, 2]
+    assert d["coeffs"] == [[0, 1], [-29, 1], [29, 2]]
 
 
 def test_form_invariants_enforced():

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from susywell.cli import main
 from susywell.params import ladder, ladder_offset, make_params
 from susywell.spectrum import (
     energy,
@@ -86,3 +89,20 @@ def test_energy_equals_offset_difference():
         assert energy(n, pr) == ladder_offset(ladder(pr, n)) - ladder_offset(ladder(pr, 0))
 
 
+def test_serialization():
+    # the output contract lives in the CLI: check its JSON and CSV for this well
+    runner = CliRunner()
+    result = runner.invoke(main, ["spectrum", "--B", "7", "--p", "0.5", "--format", "json"])
+    assert result.exit_code == 0
+    d = json.loads(result.output)
+    assert d["n_max"] == 7
+    assert d["asymptote"] == 240.25
+    assert d["asymptote_exact"] == "961/4"
+    assert d["levels"][0] == {"n": 0, "E": 0.0, "E_exact": "0"}
+    assert d["levels"][-1]["E"] == 238.0
+    result = runner.invoke(main, ["spectrum", "--B", "7", "--p", "0.5", "--format", "csv"])
+    assert result.exit_code == 0
+    lines = result.output.strip().split("\n")
+    assert lines[0] == "n,E"
+    assert lines[-1] == "7,238"
+    assert len(lines) == 9

@@ -1,6 +1,10 @@
+import json
+
 import pytest
+from click.testing import CliRunner
 
 from susywell import hyperpoly, oracle, validate
+from susywell.cli import main
 from susywell.params import make_params
 from susywell.validate import run_validation
 
@@ -79,6 +83,18 @@ def test_perturbation_is_detected():
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert "spectrum-vs-oracle" in failed
+
+
+def test_report_serialization():
+    # ValidationReport keeps plain values; the CLI writes its JSON
+    result = CliRunner().invoke(main, ["validate", "--B", "3/5", "--p", "1/2", "--format", "json"])
+    assert result.exit_code == 0
+    d = json.loads(result.output)
+    assert d["passed"] is True
+    assert d["B"] == "3/5" and d["p"] == "1/2"
+    names = [c["name"] for c in d["checks"]]
+    assert "spectrum-vs-oracle" in names and "minimum-and-polynomial" in names
+    assert "poly_root_probe" in d["extras"]
 
 
 def test_check_order(deep_report, small_report):
