@@ -1,96 +1,3 @@
 """Hyperbolic quantum well on the half line: closed-form ladder spectrum,
 exact eigenfunction recursion, and an independent finite-difference
 cross-validator."""
-
-from .analysis import MinimumReport, find_minimum, min_polynomial, well_characteristics
-from .hyperpoly import (
-    HyperbolicForm,
-    apply_creation,
-    candidate_form,
-    decay_exponent,
-    eigenfunction,
-    evaluate,
-    evaluate_log_derivative,
-    evaluate_scaled,
-    ground_form,
-)
-from .oracle import (
-    DiscretizedHamiltonian,
-    EigenResult,
-    RadialGrid,
-    apply_ladder_numeric,
-    build_hamiltonian,
-    count_nodes,
-    default_grid,
-    eigenvector_for,
-    inner_product,
-    lowest_eigenvalues,
-)
-from .params import LadderParams, ModelParams, ladder, ladder_offset, make_params, shift_constant
-from .potential import (
-    partner_minus,
-    partner_plus,
-    potential_closed_form,
-    potential_derivative,
-    shape_invariance_residual,
-    superpotential,
-    superpotential_derivative,
-)
-from .spectrum import (
-    Spectrum,
-    energy,
-    full_spectrum,
-    max_bound_states,
-    raw_energy_formula,
-    state_decay_rate,
-)
-from .validate import ValidationReport, run_validation
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "HyperbolicForm",
-    "LadderParams",
-    "MinimumReport",
-    "ModelParams",
-    "RadialGrid",
-    "DiscretizedHamiltonian",
-    "EigenResult",
-    "Spectrum",
-    "ValidationReport",
-    "apply_creation",
-    "apply_ladder_numeric",
-    "build_hamiltonian",
-    "candidate_form",
-    "count_nodes",
-    "decay_exponent",
-    "default_grid",
-    "eigenfunction",
-    "eigenvector_for",
-    "energy",
-    "evaluate",
-    "evaluate_log_derivative",
-    "evaluate_scaled",
-    "find_minimum",
-    "full_spectrum",
-    "ground_form",
-    "inner_product",
-    "ladder",
-    "ladder_offset",
-    "lowest_eigenvalues",
-    "make_params",
-    "max_bound_states",
-    "min_polynomial",
-    "partner_minus",
-    "partner_plus",
-    "potential_closed_form",
-    "potential_derivative",
-    "raw_energy_formula",
-    "run_validation",
-    "shape_invariance_residual",
-    "shift_constant",
-    "state_decay_rate",
-    "superpotential",
-    "superpotential_derivative",
-    "well_characteristics",
-]

@@ -188,7 +188,15 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
     form = hyperpoly.eigenfunction(state_index, params)
     xs = grid.points()
     values = hyperpoly.evaluate(form, xs)
-    values = values / np.sqrt(oracle.inner_product(values, values, grid))
+    norm = oracle.inner_product(values, values, grid)
+    if not 0.0 < norm < math.inf:
+        click.echo(
+            f"invalid grid: state {state_index} cannot be normalized on it (sampled "
+            f"norm {norm}: the samples underflow to 0 or overflow float64)",
+            err=True,
+        )
+        sys.exit(EXIT_BAD_PARAMETERS)
+    values = values / np.sqrt(norm)
     if fmt == "csv":
         lines = [
             f"# n={state_index} sigma={form.sigma} tau={form.tau} p={form.p}",

@@ -6,7 +6,8 @@ a finite series sum_k a_k cosh(2kpx).  Applying the creation operator
 series picks up two more terms.  Coefficients are exact Fractions all the
 way through; numeric evaluation factors out the dominant exponential so
 values, ratios and residuals stay computable where the raw numbers would
-under- or overflow.
+under- or overflow.  Evaluators take numpy arrays of x > 0 and return
+arrays; a scalar x is read as a 0-d array.
 """
 
 from __future__ import annotations
@@ -177,27 +178,24 @@ def _series_parts(form: HyperbolicForm, x):
     return u, pm, p1m, p2m, log_scale
 
 
-def evaluate_scaled(form: HyperbolicForm, x) -> tuple:
+def evaluate_scaled(form: HyperbolicForm, x) -> tuple[np.ndarray, ...]:
     """Value as (mantissa, exponent) with form(x) = mantissa * exp(exponent).
 
     The mantissa carries the sign (and the zeros) of the series; the
     exponent absorbs the full dynamic range.
     """
     _, pm, _, _, log_scale = _series_parts(form, x)
-    if np.ndim(x) == 0:
-        return float(pm), float(log_scale)
     return pm, log_scale
 
 
-def evaluate(form: HyperbolicForm, x) -> "float | np.ndarray":
+def evaluate(form: HyperbolicForm, x) -> np.ndarray:
     """Plain float value; gracefully under/overflows to 0 or inf at extremes."""
-    mant, log_scale = evaluate_scaled(form, np.asarray(x, dtype=float))
+    mant, log_scale = evaluate_scaled(form, x)
     with np.errstate(over="ignore"):
-        out = mant * np.exp(log_scale)
-    return float(out) if np.ndim(x) == 0 else out
+        return mant * np.exp(log_scale)
 
 
-def evaluate_derivatives(form: HyperbolicForm, x):
+def evaluate_derivatives(form: HyperbolicForm, x) -> tuple[np.ndarray, ...]:
     """(psi, psi', psi'') evaluated analytically from the form.
 
     Used for operator residuals: no stencil error, only roundoff.
@@ -213,16 +211,13 @@ def evaluate_derivatives(form: HyperbolicForm, x):
     psi = pm * scale
     dpsi = (m * pm + p1m) * scale
     d2psi = ((m * m + mp) * pm + 2.0 * m * p1m + p2m) * scale
-    if np.ndim(x) == 0:
-        return float(psi), float(dpsi), float(d2psi)
     return psi, dpsi, d2psi
 
 
-def evaluate_log_derivative(form: HyperbolicForm, x) -> "float | np.ndarray":
+def evaluate_log_derivative(form: HyperbolicForm, x) -> np.ndarray:
     """d/dx log|form(x)|; for the rung-k ground form this equals -W(x, a_k)."""
     p = float(form.p)
     u, pm, p1m, _, _ = _series_parts(form, x)
     m = 3.0 * p * float(form.sigma) * np.tanh(3.0 * u) + p * float(form.tau) * coth(u)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = m + p1m / pm
-    return float(out) if np.ndim(x) == 0 else out
+        return m + p1m / pm

@@ -30,7 +30,7 @@ def pivot_floor(off_squared: np.ndarray) -> float:
     return _SAFE_MIN * max(1.0, top)
 
 
-def sturm_counts(diag, off_squared, shifts, pivmin=None):
+def sturm_counts(diag, off_squared, shifts):
     """Number of eigenvalues of the symmetric tridiagonal matrix strictly
     below each shift, via the sign count of the Sturm pivot sequence.
 
@@ -39,8 +39,7 @@ def sturm_counts(diag, off_squared, shifts, pivmin=None):
     diag = np.ascontiguousarray(diag, dtype=np.float64)
     off_squared = np.ascontiguousarray(off_squared, dtype=np.float64)
     shifts = np.atleast_1d(np.ascontiguousarray(shifts, dtype=np.float64))
-    if pivmin is None:
-        pivmin = pivot_floor(off_squared)
+    pivmin = pivot_floor(off_squared)
     return np.concatenate([
         _count_below(diag, off_squared, shifts[c:c + SHIFT_BATCH], pivmin)
         for c in range(0, max(shifts.shape[0], 1), SHIFT_BATCH)

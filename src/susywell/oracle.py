@@ -125,7 +125,6 @@ def build_hamiltonian(params: ModelParams, grid: RadialGrid) -> DiscretizedHamil
 
 def _bisect_lowest(diag: np.ndarray, offdiag: np.ndarray, m: int) -> list[float]:
     off2 = offdiag * offdiag
-    pivmin = kernels.pivot_floor(off2)
     radius = np.abs(offdiag)
     reach = np.zeros_like(diag)
     reach[:-1] += radius
@@ -143,7 +142,7 @@ def _bisect_lowest(diag: np.ndarray, offdiag: np.ndarray, m: int) -> list[float]
         if np.all(hi - lo <= tol):
             break
         if levels_left == 0:
-            shifts, counts, levels_left = _multisection_pass(diag, off2, pivmin, lo, hi)
+            shifts, counts, levels_left = _multisection_pass(diag, off2, lo, hi)
         mid = 0.5 * (lo + hi)
         below = counts[np.searchsorted(shifts, mid)] >= want
         hi = np.where(below, mid, hi)
@@ -154,7 +153,7 @@ def _bisect_lowest(diag: np.ndarray, offdiag: np.ndarray, m: int) -> list[float]
     return [float(v) for v in 0.5 * (lo + hi)]
 
 
-def _multisection_pass(diag, off2, pivmin, lo, hi):
+def _multisection_pass(diag, off2, lo, hi):
     """Sturm counts, from one kernel call, at every midpoint that plain
     bisection can reach from the brackets (lo, hi) within the returned
     number of levels: as many levels (at least one) as keep the midpoints
@@ -178,7 +177,7 @@ def _multisection_pass(diag, off2, pivmin, lo, hi):
     keep = np.ones(shifts.shape[0], dtype=bool)
     keep[1:] = shifts[1:] != shifts[:-1]
     shifts = shifts[keep]
-    return shifts, kernels.sturm_counts(diag, off2, shifts, pivmin), depth
+    return shifts, kernels.sturm_counts(diag, off2, shifts), depth
 
 
 def lowest_eigenvalues(H: DiscretizedHamiltonian, m: int) -> list[float]:

@@ -15,6 +15,10 @@ from typing import Union
 
 RationalInput = Union[int, float, str, Fraction]
 
+# Largest accepted level_ratio: the bound-state count n_max is its floor, and
+# spectrum, figure and validate do work for every bound state.
+MAX_LEVEL_RATIO = 10**6
+
 
 def as_fraction(value: RationalInput, name: str = "value") -> Fraction:
     """Promote an input to an exact Fraction (floats read bit-exactly)."""
@@ -46,7 +50,9 @@ def make_params(B: RationalInput, p: RationalInput) -> ModelParams:
     """Validate (B, p) and derive A = 3(B + p).
 
     Raises ValueError naming the violated constraint when p <= 0, B <= 0,
-    B or p overflows float64 or underflows it to 0, or p >= B.
+    B or p overflows float64 or underflows it to 0, p >= B, the continuum
+    threshold (2B+3p)^2 overflows float64, or level_ratio exceeds
+    MAX_LEVEL_RATIO.
     """
     B = as_fraction(B, "B")
     p = as_fraction(p, "p")
@@ -62,7 +68,19 @@ def make_params(B: RationalInput, p: RationalInput) -> ModelParams:
             raise ValueError(f"{name} overflows float64") from None
     if p >= B:
         raise ValueError("admissibility requires 0 < p < B: p must be strictly less than B")
-    return ModelParams(B=B, p=p, A=3 * (B + p))
+    params = ModelParams(B=B, p=p, A=3 * (B + p))
+    try:
+        float((params.A - params.B) ** 2)
+    except OverflowError:
+        raise ValueError("the continuum threshold (2B+3p)^2 overflows float64") from None
+    if level_ratio(params) > MAX_LEVEL_RATIO:
+        raise ValueError(f"(2B+3p)/(4p) exceeds {MAX_LEVEL_RATIO}, the cap on n_max")
+    return params
+
+
+def level_ratio(params: ModelParams) -> Fraction:
+    """r = (2B+3p)/(4p): the n-th ladder form is square integrable iff n < r."""
+    return (2 * params.B + 3 * params.p) / (4 * params.p)
 
 
 def ladder(params: ModelParams, k: int) -> LadderParams:

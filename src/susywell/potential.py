@@ -1,9 +1,10 @@
 """Superpotential, partner potentials, and the closed-form well.
 
-Evaluators accept scalars or numpy arrays on the half line x > 0.  Large
-arguments (p*x beyond ~300) are routed through asymptotic forms so cosh and
-sinh never overflow double precision; below p*x = 1e-8 the 1/x^2 wall is
-reported as +inf instead of a garbage float.
+Evaluators take numpy arrays on the half line x > 0 and return arrays; a
+scalar x is read as a 0-d array.  Large arguments (p*x beyond ~300) are
+routed through asymptotic forms so cosh and sinh never overflow double
+precision; below p*x = 1e-8 the 1/x^2 wall is reported as +inf instead of
+a garbage float.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ def _positive_x(x) -> np.ndarray:
     if np.any(arr <= 0.0):
         raise ValueError("x must be positive (domain is the half line x > 0)")
     return arr
-
-
-def _scalar_like(out: np.ndarray, x) -> "float | np.ndarray":
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def coth(z):
@@ -64,33 +61,30 @@ def log_sinh(z):
     return z - _LN2 + np.log(-np.expm1(-2.0 * z))
 
 
-def superpotential(x, rung: LadderParams, p) -> "float | np.ndarray":
+def superpotential(x, rung: LadderParams, p) -> np.ndarray:
     """W(x) = A_k tanh(3px) - B_k coth(px); diverges like -B/(px) at 0+."""
     arr = _positive_x(x)
     p = float(p)
     A, B = float(rung.A), float(rung.B)
-    out = A * np.tanh(3.0 * p * arr) - B * coth(p * arr)
-    return _scalar_like(out, x)
+    return A * np.tanh(3.0 * p * arr) - B * coth(p * arr)
 
 
-def superpotential_derivative(x, rung: LadderParams, p) -> "float | np.ndarray":
+def superpotential_derivative(x, rung: LadderParams, p) -> np.ndarray:
     """W'(x) = 3pA_k sech(3px)^2 + pB_k csch(px)^2, analytic and positive."""
     arr = _positive_x(x)
     p = float(p)
     A, B = float(rung.A), float(rung.B)
-    out = 3.0 * p * A * sech_squared(3.0 * p * arr) + p * B * csch_squared(p * arr)
-    return _scalar_like(out, x)
+    return 3.0 * p * A * sech_squared(3.0 * p * arr) + p * B * csch_squared(p * arr)
 
 
-def superpotential_second_derivative(x, rung: LadderParams, p) -> "float | np.ndarray":
+def superpotential_second_derivative(x, rung: LadderParams, p) -> np.ndarray:
     """W''(x), used by the analytic first-order condition at the well minimum."""
     arr = _positive_x(x)
     p = float(p)
     A, B = float(rung.A), float(rung.B)
     u = p * arr
-    out = (-18.0 * p * p * A * sech_squared(3.0 * u) * np.tanh(3.0 * u)
-           - 2.0 * p * p * B * csch_squared(u) * coth(u))
-    return _scalar_like(out, x)
+    return (-18.0 * p * p * A * sech_squared(3.0 * u) * np.tanh(3.0 * u)
+            - 2.0 * p * p * B * csch_squared(u) * coth(u))
 
 
 def _partner(x, rung: LadderParams, p, plus: bool):
@@ -102,21 +96,20 @@ def _partner(x, rung: LadderParams, p, plus: bool):
     w = superpotential(safe, rung, p)
     wp = superpotential_derivative(safe, rung, p)
     val = w * w + wp if plus else w * w - wp
-    out = np.where(u < SINGULAR_CUTOFF, np.inf, val)
-    return _scalar_like(out, x)
+    return np.where(u < SINGULAR_CUTOFF, np.inf, val)
 
 
-def partner_minus(x, rung: LadderParams, p) -> "float | np.ndarray":
+def partner_minus(x, rung: LadderParams, p) -> np.ndarray:
     """V_-(x) = W^2 - W' at the given rung."""
     return _partner(x, rung, p, plus=False)
 
 
-def partner_plus(x, rung: LadderParams, p) -> "float | np.ndarray":
+def partner_plus(x, rung: LadderParams, p) -> np.ndarray:
     """V_+(x) = W^2 + W' at the given rung."""
     return _partner(x, rung, p, plus=True)
 
 
-def potential_closed_form(x, params: ModelParams) -> "float | np.ndarray":
+def potential_closed_form(x, params: ModelParams) -> np.ndarray:
     """The well in closed form,
 
         V(x) = -Bp csch(px)^2 - 9p(B+p) sech(3px)^2
@@ -134,22 +127,20 @@ def potential_closed_form(x, params: ModelParams) -> "float | np.ndarray":
     val = (-B * p * csch_squared(uc)
            - 9.0 * p * (B + p) * sech_squared(3.0 * uc)
            + (B * coth(uc) - 3.0 * (B + p) * np.tanh(3.0 * uc)) ** 2)
-    out = np.where(u < SINGULAR_CUTOFF, np.inf, val)
-    return _scalar_like(out, x)
+    return np.where(u < SINGULAR_CUTOFF, np.inf, val)
 
 
-def potential_derivative(x, params: ModelParams) -> "float | np.ndarray":
+def potential_derivative(x, params: ModelParams) -> np.ndarray:
     """Analytic V'(x) = 2WW' - W'' at rung 0 (for minimum finding)."""
     rung = ladder(params, 0)
     arr = _positive_x(x)
     w = superpotential(arr, rung, params.p)
     wp = superpotential_derivative(arr, rung, params.p)
     wpp = superpotential_second_derivative(arr, rung, params.p)
-    out = 2.0 * w * wp - wpp
-    return _scalar_like(out, x)
+    return 2.0 * w * wp - wpp
 
 
-def shape_invariance_residual(x, params: ModelParams, k: int) -> "float | np.ndarray":
+def shape_invariance_residual(x, params: ModelParams, k: int) -> np.ndarray:
     """V_+(x, a_k) - V_-(x, a_{k+1}) - C(a_k).
 
     Zero identically at k = 0.  For k >= 1 the partner pair fails to close:
@@ -159,5 +150,4 @@ def shape_invariance_residual(x, params: ModelParams, k: int) -> "float | np.nda
     arr = _positive_x(x)
     vp = partner_plus(arr, ladder(params, k), params.p)
     vm = partner_minus(arr, ladder(params, k + 1), params.p)
-    out = vp - vm - float(shift_constant(params, k))
-    return _scalar_like(out, x)
+    return vp - vm - float(shift_constant(params, k))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .params import ModelParams, ladder, ladder_offset, shift_constant
+from .params import ModelParams, ladder, ladder_offset, level_ratio, shift_constant
 
 
 def raw_energy_formula(n: int, params: ModelParams) -> Fraction:
@@ -22,13 +22,13 @@ def raw_energy_formula(n: int, params: ModelParams) -> Fraction:
 
 
 def max_bound_states(params: ModelParams) -> int:
-    """Largest n with negative decay exponent: r = (2B+3p)/(4p), floor(r),
-    minus one more when r is exactly an integer (the marginal state has
-    decay exponent exactly zero).
+    """Largest n with negative decay exponent: floor(r) for r = level_ratio
+    = (2B+3p)/(4p), minus one more when r is exactly an integer (the
+    marginal state has decay exponent exactly zero).
 
     The integer test is exact rational arithmetic, never an epsilon compare.
     """
-    r = (2 * params.B + 3 * params.p) / (4 * params.p)
+    r = level_ratio(params)
     if r.denominator == 1:
         return int(r) - 1
     return r.numerator // r.denominator

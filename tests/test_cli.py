@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import pytest
@@ -52,6 +53,28 @@ def test_couplings_outside_float64_are_parameter_errors(runner, command, couplin
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.output.strip().splitlines() == [f"invalid parameters: {message}"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["spectrum", "--B", "1e200", "--p", "1e199"], "threshold (2B+3p)^2 overflows"),
+     (["minimum", "--B", "1e200", "--p", "1e199"], "threshold (2B+3p)^2 overflows"),
+     (["figure", "--B", "1e200", "--p", "1e199", "--grid-points", "100"],
+      "threshold (2B+3p)^2 overflows"),
+     (["spectrum", "--B", "7", "--p", "1e-300"], "(2B+3p)/(4p) exceeds 1000000"),
+     (["eigenfunction", "--B", "7", "--p", "1e-300", "-n", "0", "--grid-points", "100"],
+      "(2B+3p)/(4p) exceeds 1000000")],
+)
+def test_capped_wells_fail_before_any_work(runner, args, message):
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid parameters: ")
+    assert message in lines[0]
 
 
 def test_spectrum_deterministic(runner):
@@ -302,6 +325,10 @@ def test_out_file_and_env_dir(runner, tmp_path, monkeypatch):
         ["validate", "--B", "1000", "--p", "1/1000"],
         ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "1",
          "--grid-points", "100000000000"],
+        ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "0", "--grid-points", "100",
+         "--x-min", "1e-300", "--x-max", "1e-299"],
+        ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "0", "--grid-points", "100",
+         "--x-min", "2000", "--x-max", "3000"],
     ],
 )
 def test_bad_grid_is_a_parameter_error(runner, args):

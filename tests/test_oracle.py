@@ -81,7 +81,6 @@ def _box_hamiltonian(n=4000):
 def _reference_lowest(H, m):
     # one bisection level per count: the loop multisection must reproduce
     off2 = H.offdiag * H.offdiag
-    pivmin = kernels.pivot_floor(off2)
     radius = np.abs(H.offdiag)
     reach = np.zeros_like(H.diag)
     reach[:-1] += radius
@@ -94,7 +93,7 @@ def _reference_lowest(H, m):
     want = np.arange(1, m + 1)
     while not np.all(hi - lo <= tol):
         mid = 0.5 * (lo + hi)
-        below = kernels.sturm_counts(H.diag, off2, mid, pivmin) >= want
+        below = kernels.sturm_counts(H.diag, off2, mid) >= want
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
     return [float(v) for v in 0.5 * (lo + hi)]

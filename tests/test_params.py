@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from susywell.params import ladder, ladder_offset, make_params, shift_constant
+from susywell.params import (
+    MAX_LEVEL_RATIO,
+    ladder,
+    ladder_offset,
+    level_ratio,
+    make_params,
+    shift_constant,
+)
 
 
 def test_make_params_reference_values():
@@ -37,6 +44,17 @@ def test_make_params_rejects_boundary_and_sign():
         make_params(float("inf"), 1)
     pr = make_params(Fraction(1, 10**300), Fraction(1, 10**301))  # tiny but representable
     assert pr.A == 3 * (pr.B + pr.p)
+
+
+def test_make_params_caps_threshold_and_level_count():
+    with pytest.raises(ValueError, match=r"threshold \(2B\+3p\)\^2 overflows float64"):
+        make_params(1e200, 1e199)
+    with pytest.raises(ValueError, match=r"\(2B\+3p\)/\(4p\) exceeds 1000000"):
+        make_params(7, 1e-300)
+    with pytest.raises(ValueError, match=r"exceeds 1000000"):
+        make_params(2 * 10**6, 1)  # r = 1000000.75
+    assert level_ratio(make_params(Fraction(3999997, 2), 1)) == MAX_LEVEL_RATIO
+    assert level_ratio(make_params(1000, Fraction(1, 1000))) == Fraction(2000003, 4)
 
 
 def test_float_inputs_promote_exactly():
