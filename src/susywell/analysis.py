@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .params import ModelParams, as_fraction
+from .params import Float64RangeError, ModelParams, as_fraction
 from .potential import potential_closed_form, potential_derivative
 from .spectrum import max_bound_states
 
@@ -77,16 +77,20 @@ def find_minimum(params: ModelParams) -> MinimumReport:
     """Bracket the sign change of V' by geometric scan, then bisect.
 
     The first-order condition is driven to |V'| <= 1e-10 * p * (2B+3p)^2.
-    Raises RuntimeError if no bracket exists on the scan range (which would
-    contradict the admissibility assumption 0 < p < B).
+    Raises Float64RangeError if no bracket exists because V' overflows
+    float64 on the scan, RuntimeError if no bracket exists otherwise (which
+    would contradict the admissibility assumption 0 < p < B).
     """
     p = float(params.p)
     scale = p * float((params.A - params.B) ** 2)
     tol = 1e-10 * scale
     xs = np.geomspace(1e-3 / p, 50.0 / p, _SCAN_POINTS)
-    dv = potential_derivative(xs, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = potential_derivative(xs, params)
     sign_change = np.where((dv[:-1] < 0.0) & (dv[1:] >= 0.0))[0]
     if sign_change.size == 0:
+        if not np.all(np.isfinite(dv)):
+            raise Float64RangeError("V' overflows float64 on the minimum scan")
         raise RuntimeError(
             "no bracketing interval for V' = 0 on the scan range; "
             "the well has no interior minimum for these parameters"

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 bad parameters or grid,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import click
 import numpy as np
 
 from . import analysis, hyperpoly, oracle
-from .params import make_params
+from .params import Float64RangeError, make_params
 from .potential import potential_closed_form
 from .spectrum import full_spectrum, max_bound_states, state_decay_rate
 from .validate import run_validation
@@ -79,6 +80,19 @@ def _parse_params(b_text: str, p_text: str):
     except ValueError as exc:
         click.echo(f"invalid parameters: {exc}", err=True)
         sys.exit(EXIT_BAD_PARAMETERS)
+
+
+def _float64_limits(command):
+    """Exit 2 with one line when the well's numbers leave the float64 range."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except Float64RangeError as exc:
+            click.echo(f"invalid parameters: {exc}", err=True)
+            sys.exit(EXIT_BAD_PARAMETERS)
+
+    return run
 
 
 def _resolve_out(out: "str | None") -> "str | None":
@@ -169,6 +183,7 @@ def cmd_spectrum(b_text, p_text, fmt, out):
 @_grid_options
 @_output_options
 @click.option("-n", "state_index", type=int, required=True, help="state index")
+@_float64_limits
 def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state_index):
     """Exact coefficients of state n plus a normalized sampled table."""
     params = _parse_params(b_text, p_text)
@@ -231,6 +246,7 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
 @_output_options
 @click.option("--perturb-potential", type=float, default=0.0,
               help="test-only: scale the numeric potential by (1+EPS)")
+@_float64_limits
 def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out, perturb_potential):
     """Run the full cross-validation suite; exit 0 only if every check passes."""
     params = _parse_params(b_text, p_text)
@@ -276,6 +292,7 @@ def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out, perturb_po
 @_model_options
 @_grid_options
 @_output_options
+@_float64_limits
 def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
     """Plot data: x, V(x), one level line per bound state, and the asymptote."""
     params = _parse_params(b_text, p_text)
@@ -322,6 +339,7 @@ def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
 @main.command("minimum")
 @_model_options
 @_output_options
+@_float64_limits
 def cmd_minimum(b_text, p_text, fmt, out):
     """Locate the well minimum and report the polynomial root probe."""
     params = _parse_params(b_text, p_text)

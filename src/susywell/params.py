@@ -20,6 +20,10 @@ RationalInput = Union[int, float, str, Fraction]
 MAX_LEVEL_RATIO = 10**6
 
 
+class Float64RangeError(ValueError):
+    """An admissible well whose numbers do not fit float64."""
+
+
 def as_fraction(value: RationalInput, name: str = "value") -> Fraction:
     """Promote an input to an exact Fraction (floats read bit-exactly)."""
     try:

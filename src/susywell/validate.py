@@ -208,14 +208,8 @@ def _check_residuals(well: _Well) -> CheckResult:
 
 
 def _check_nodes(well: _Well) -> CheckResult:
-    p = float(well.params.p)
-    xs = np.linspace(1e-3 / p, 30.0 / p, 200_001)
-    bad = []
-    for n, form in enumerate(well.forms):
-        mant, _ = hyperpoly.evaluate_scaled(form, xs)
-        nodes = oracle.count_nodes(mant)
-        if nodes != n:
-            bad.append((n, nodes))
+    counts = hyperpoly.node_counts(well.forms)
+    bad = [(n, nodes) for n, nodes in enumerate(counts) if nodes != n]
     return CheckResult(
         "node-count",
         not bad,
@@ -226,11 +220,9 @@ def _check_nodes(well: _Well) -> CheckResult:
 def _check_orthogonality(well: _Well) -> CheckResult:
     p = float(well.params.p)
     grid = oracle.RadialGrid(x_min=0.005 / p, x_max=30.0 / p, n_points=60_000)
-    xs = grid.points()
-    vecs = []
-    for form in well.forms:
-        v = hyperpoly.evaluate(form, xs)
-        vecs.append(v / np.sqrt(oracle.inner_product(v, v, grid)))
+    vecs = hyperpoly.sample_forms(well.forms, grid.points())
+    for v in vecs:
+        v /= np.sqrt(oracle.inner_product(v, v, grid))
     worst, pair = 0.0, (0, 0)
     for i, j in combinations(range(len(vecs)), 2):
         ov = abs(oracle.inner_product(vecs[i], vecs[j], grid))
@@ -357,7 +349,8 @@ def run_validation(
     perturb: float = 0.0,
 ) -> ValidationReport:
     """Run every check; deterministic, all tolerances fixed here.  grid=None
-    means oracle.default_grid(params); GridError when it is too coarse."""
+    means oracle.default_grid(params); GridError when it is too coarse,
+    Float64RangeError when the exact forms do not fit float64."""
     grid = oracle.default_grid(params) if grid is None else grid
     n_max = max_bound_states(params)
     m = n_max + 4  # a few beyond the cutoff: exposes extra true levels, if any
@@ -366,6 +359,8 @@ def run_validation(
             f"{grid.n_points} points are too few: the oracle solve "
             f"needs at least n_max + 4 = {m} grid points"
         )
+    forms = [hyperpoly.eigenfunction(n, params) for n in range(n_max + 1)]
+    hyperpoly.check_float64(forms)  # the checks evaluate psi, psi' and psi''
     H = _hamiltonian(params, grid, perturb)
     well = _Well(
         params=params,
@@ -373,7 +368,7 @@ def run_validation(
         spec=full_spectrum(params),
         H=H,
         numeric=oracle.lowest_eigenvalues(H, m),
-        forms=[hyperpoly.eigenfunction(n, params) for n in range(n_max + 1)],
+        forms=forms,
         extras={},
     )
     return ValidationReport(

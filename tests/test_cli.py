@@ -63,7 +63,15 @@ def test_couplings_outside_float64_are_parameter_errors(runner, command, couplin
       "threshold (2B+3p)^2 overflows"),
      (["spectrum", "--B", "7", "--p", "1e-300"], "(2B+3p)/(4p) exceeds 1000000"),
      (["eigenfunction", "--B", "7", "--p", "1e-300", "-n", "0", "--grid-points", "100"],
-      "(2B+3p)/(4p) exceeds 1000000")],
+      "(2B+3p)/(4p) exceeds 1000000"),
+     # n_max = 5, but the coefficients grow like B^n past float64
+     (["figure", "--B", "1e150", "--p", "1e149", "--grid-points", "100"],
+      "exact form with top index 6 overflow float64"),
+     (["eigenfunction", "--B", "1e150", "--p", "1e149", "-n", "3"],
+      "exact form with top index 6 overflow float64"),
+     (["validate", "--B", "1e150", "--p", "1e149"],  # psi_1'' already overflows
+      "exact form with top index 2 overflow float64"),
+     (["minimum", "--B", "1e150", "--p", "1e149"], "V' overflows float64")],
 )
 def test_capped_wells_fail_before_any_work(runner, args, message):
     start = time.perf_counter()

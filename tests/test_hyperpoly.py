@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from susywell import hyperpoly
 from susywell.cli import main
 from susywell.hyperpoly import (
     HyperbolicForm,
@@ -19,10 +20,12 @@ from susywell.hyperpoly import (
     evaluate_log_derivative,
     evaluate_scaled,
     ground_form,
+    node_counts,
+    sample_forms,
 )
 from susywell.params import LadderParams, ladder, make_params
 from susywell.potential import potential_closed_form, superpotential
-from susywell.spectrum import full_spectrum
+from susywell.spectrum import full_spectrum, max_bound_states
 
 PR = make_params(7, 0.5)
 
@@ -231,6 +234,65 @@ def test_node_counts_match_index():
     for n in range(8):
         mant, _ = evaluate_scaled(eigenfunction(n, PR), xs)
         assert count_nodes(mant) == n
+    # the exact count also holds where float64 sampling loses every digit (n >= 11)
+    for params in (PR, make_params(10, "1/4")):
+        n_max = max_bound_states(params)
+        forms = [eigenfunction(n, params) for n in range(n_max + 1)]
+        assert node_counts(forms) == list(range(n_max + 1))
+
+
+def test_node_counts_agree_with_high_precision_sampling():
+    # independent route: sum_k a_k cosh(2ku) at 120 digits, sampled every
+    # 0.005 in u = px; the zeros lie in 0.3 < u < 2.3, at least 0.04 apart
+    import mpmath
+
+    params = make_params(10, "1/4")
+    forms = [eigenfunction(n, params) for n in (11, 14, 20)]
+    assert node_counts(forms) == [11, 14, 20]
+    with mpmath.workdps(120):
+        for n, form in zip((11, 14, 20), forms):
+            a = [mpmath.mpf(c.numerator) / c.denominator for c in form.coeffs]
+            signs = []
+            for i in range(1, 801):
+                e = mpmath.exp(mpmath.mpf(i) / 100)  # exp(2u) at u = i/200
+                total, up, down = 0, 1, 1  # up, down = exp(+-2ku)
+                for ak in a:
+                    total += ak * (up + down)
+                    up, down = up * e, down / e
+                signs.append(total > 0)
+            assert sum(s != t for s, t in zip(signs, signs[1:])) == n
+
+
+def _form(coeffs):
+    return HyperbolicForm(sigma=Fraction(-1), tau=Fraction(1), p=Fraction(1, 2),
+                          coeffs=tuple(Fraction(c) for c in coeffs))
+
+
+def test_node_counts_report_a_repeated_root():
+    # (c - 2)^2 (c - 3) = T_3/4 - 7 T_2/2 + 67 T_1/4 - 31/2 in c = cosh(2px)
+    squared = _form(["-31/2", "67/4", "-7/2", "1/4"])
+    # the square of the n = 4 series: four double roots in c > 1
+    a = eigenfunction(4, PR).coeffs
+    product = [Fraction(0)] * (2 * len(a) - 1)
+    for j, aj in enumerate(a):
+        for k, ak in enumerate(a):  # T_j T_k = (T_{j+k} + T_{|j-k|}) / 2
+            product[j + k] += aj * ak / 2
+            product[abs(j - k)] += aj * ak / 2
+    # (c - 2)(c - 3) = T_2/2 - 5 T_1 + 13/2, times the modulus of the quick
+    # square-free test, so the exact test alone decides
+    simple = _form([Fraction(13, 2) * hyperpoly._PRIME, -5 * hyperpoly._PRIME,
+                    Fraction(1, 2) * hyperpoly._PRIME])
+    assert node_counts([squared, _form(product), simple]) == [None, None, 2]
+
+
+@pytest.mark.parametrize("b, p", [(7, "1/2"), (10, "1/4")])
+def test_sample_forms_match_evaluate_bit_for_bit(b, p):
+    # the orthogonality grid; its exponential table takes 4 and 10 blocks here
+    params = make_params(b, p)
+    forms = [eigenfunction(n, params) for n in range(max_bound_states(params) + 1)]
+    xs = np.linspace(0.005, 30.0, 60_000) / float(params.p)
+    for form, values in zip(forms, sample_forms(forms, xs)):
+        assert np.array_equal(values.view(np.int64), evaluate(form, xs).view(np.int64))
 
 
 def test_orthogonality_exact_only_through_first_rung():

@@ -1,11 +1,15 @@
 import json
+from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from susywell import hyperpoly, oracle, validate
 from susywell.cli import main
 from susywell.params import make_params
+from susywell.spectrum import max_bound_states
 from susywell.validate import run_validation
 
 # the ladder construction is exact only through its first rung, so for any
@@ -95,6 +99,28 @@ def test_report_serialization():
     names = [c["name"] for c in d["checks"]]
     assert "spectrum-vs-oracle" in names and "minimum-and-polynomial" in names
     assert "poly_root_probe" in d["extras"]
+
+
+@pytest.mark.parametrize("b, p", [(10, "1/4"), (20, "1/4")])
+def test_node_count_passes_on_deep_wells(b, p):
+    # the float64 sampling this check replaced failed here from n = 11 on
+    params = make_params(b, p)
+    forms = [hyperpoly.eigenfunction(n, params) for n in range(max_bound_states(params) + 1)]
+    check = validate._check_nodes(SimpleNamespace(forms=forms))
+    assert check.passed and check.detail == "every form has exactly n interior zeros"
+
+
+def test_node_count_fails_on_an_extra_root():
+    params = make_params(7, 0.5)
+    forms = [hyperpoly.eigenfunction(n, params) for n in range(8)]
+    # a small T_5 coefficient on the n = 2 form: far out it outgrows the
+    # series, with the opposite sign, so one more real root appears
+    f = forms[2]
+    forms[2] = hyperpoly.HyperbolicForm(f.sigma, f.tau, f.p, f.coeffs + (Fraction(-1, 1000),))
+    xs = np.linspace(1e-3, 30.0, 200_001)  # float64 sampling is exact enough at n = 2
+    assert oracle.count_nodes(hyperpoly.evaluate_scaled(forms[2], xs)[0]) == 3
+    check = validate._check_nodes(SimpleNamespace(forms=forms))
+    assert not check.passed and check.detail == "mismatches [(2, 3)]"
 
 
 def test_check_order(deep_report, small_report):
