@@ -201,19 +201,19 @@ def eigenvector_for(H: DiscretizedHamiltonian, eigenvalue: float) -> EigenResult
     tol = 1e-8 * norm
     rng = np.random.default_rng(20240811)  # fixed seed: deterministic output
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= norm2(v)
     rayleigh = float(eigenvalue)
     residual = np.inf
     previous = np.inf
     for _ in range(_MAX_INVERSE_ITER):
         w = kernels.shifted_tridiag_solve(H.diag, H.offdiag, eigenvalue, v)
-        nrm = np.linalg.norm(w)
+        nrm = norm2(w)
         if not np.isfinite(nrm) or nrm == 0.0:
             raise RuntimeError("inverse iteration produced a degenerate vector")
         w /= nrm
         hv = H.matvec(w)
-        rayleigh = float(np.dot(w, hv))
-        residual = float(np.linalg.norm(hv - rayleigh * w))
+        rayleigh = dot(w, hv)
+        residual = float(norm2(hv - rayleigh * w))
         v = w
         # run to the roundoff floor, not just below tol: clean tails are
         # what the node counter needs
@@ -243,11 +243,30 @@ def eigenvector_for(H: DiscretizedHamiltonian, eigenvalue: float) -> EigenResult
     )
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) over 1-d arrays in numpy's own loop.
+
+    np.dot and np.linalg.norm call OpenBLAS, which splits a vector of more
+    than 10000 entries across its threads: every call then wakes or waits
+    for a second thread, so its time swings with the load on the machine
+    (on a 2-core x86-64 VM, 3 to 14 ms for 12000 entries after 0.3 s idle,
+    against 0.1 ms here), and the rounding of the sum depends on the
+    thread count.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def norm2(v: np.ndarray) -> np.float64:
+    """Euclidean norm of a 1-d array, sqrt(dot(v, v)), as a numpy scalar: a
+    ratio of two zero norms is nan, as with np.linalg.norm."""
+    return np.sqrt(dot(v, v))
+
+
 def inner_product(values_a: np.ndarray, values_b: np.ndarray, grid: RadialGrid) -> float:
     """Trapezoid quadrature with the Dirichlet zeros at both ends implied."""
     if values_a.shape != values_b.shape or values_a.shape[0] != grid.n_points:
         raise ValueError("values must both be sampled on the grid's interior points")
-    return float(grid.h * np.dot(values_a, values_b))
+    return grid.h * dot(values_a, values_b)
 
 
 def count_nodes(values: np.ndarray) -> int:

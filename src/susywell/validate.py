@@ -197,7 +197,7 @@ def _check_residuals(well: _Well) -> CheckResult:
     for (n, e), form in zip(well.spec.levels, well.forms):
         psi, _, d2 = hyperpoly.evaluate_derivatives(form, xs)
         r = -d2 + (v - float(e)) * psi
-        rel = float(np.linalg.norm(r) / np.linalg.norm(scale * psi))
+        rel = float(oracle.norm2(r) / oracle.norm2(scale * psi))
         if rel > worst:
             worst, worst_n = rel, n
     return CheckResult(
@@ -242,7 +242,7 @@ def _check_annihilation(well: _Well) -> CheckResult:
     keep = xs >= 0.2 / float(well.params.p)
     psi0 = hyperpoly.evaluate(well.forms[0], xs)
     out = oracle.apply_ladder_numeric(well.params, 0, "annihilation", psi0, well.H.grid)
-    ratio = float(np.linalg.norm(out[keep]) / np.linalg.norm(psi0[keep]))
+    ratio = float(oracle.norm2(out[keep]) / oracle.norm2(psi0[keep]))
     return CheckResult(
         "annihilation",
         ratio <= ANNIHILATION_TOL,
@@ -270,7 +270,7 @@ def _check_intertwining(well: _Well) -> CheckResult:
     keep = xs >= 0.2 / float(params.p)
     keep[:2] = False
     keep[-2:] = False
-    rel = float(np.linalg.norm(r[keep]) / np.linalg.norm(e1 * down[keep]))
+    rel = float(oracle.norm2(r[keep]) / oracle.norm2(e1 * down[keep]))
     return CheckResult(
         "intertwining",
         rel <= INTERTWINING_TOL,

@@ -261,6 +261,9 @@ def test_inner_product_and_nodes():
     v = np.sin(xs)
     v = v / math.sqrt(inner_product(v, v, grid))
     assert inner_product(v, v, grid) == pytest.approx(1.0)
+    w = np.cos(xs)
+    assert oracle.dot(v, w) == pytest.approx(float(np.dot(v, w)), rel=1e-12)
+    assert oracle.norm2(w) == pytest.approx(float(np.linalg.norm(w)), rel=1e-12)
     # cosh(4px) - 2 cosh(2px) has exactly one sign change for x > 0;
     # sample it scaled by exp(-4px) so the noise floor (relative to the
     # sample maximum) stays meaningful across the exponential range

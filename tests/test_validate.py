@@ -57,6 +57,17 @@ def test_small_well_passes_everything(small_report):
     assert small_report.first_failure() is None
 
 
+def test_validation_sums_without_blas(monkeypatch):
+    # OpenBLAS spreads a dot of more than 10000 entries over its threads, so
+    # each call waits on a second core; the checks sum through oracle.dot
+    def blas(*args, **kwargs):
+        raise AssertionError("validate called a BLAS reduction")
+
+    monkeypatch.setattr(np, "dot", blas)
+    monkeypatch.setattr(np.linalg, "norm", blas)
+    assert run_validation(make_params("3/5", "1/2")).passed
+
+
 def test_deep_well_fails_exactly_the_hierarchy_checks(deep_report):
     failed = {c.name for c in deep_report.checks if not c.passed}
     assert failed == BROKEN_FOR_DEEP_WELLS
