@@ -1,5 +1,5 @@
-"""Well geometry: minimum location, the degree-20 minimum polynomial, and
-depth/width characteristics."""
+"""Well geometry: the minimum's location and the degree-20 minimum
+polynomial."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from .params import Float64RangeError, ModelParams, as_fraction
 from .potential import potential_closed_form, potential_derivative
-from .spectrum import max_bound_states
 
 _SCAN_POINTS = 400
 _MAX_BISECT = 200
@@ -119,43 +118,3 @@ def _probe(log_t: float, B, p) -> float:
         return abs(float(min_polynomial(math.exp(log_t), B, p)))
     except OverflowError:
         return math.inf
-
-
-def _bisect_level(params: ModelParams, target: float, lo: float, hi: float) -> float:
-    """Root of V(x) - target on [lo, hi]; assumes a single sign change."""
-    f_lo = float(potential_closed_form(lo, params)) - target
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        f_mid = float(potential_closed_form(mid, params)) - target
-        if (hi - lo) < 1e-13 * max(1.0, hi):
-            break
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def well_characteristics(params: ModelParams) -> dict:
-    """Depth (asymptote to minimum), width at half depth, and the
-    bound-state count cap: the quantities tunable through (B, p)."""
-    report = find_minimum(params)
-    asym = float((params.A - params.B) ** 2)
-    depth = asym - report.v_min
-    half_level = report.v_min + 0.5 * depth
-    p = float(params.p)
-    left = _bisect_level(params, half_level, 1e-6 / p, report.x0)
-    hi = report.x0 * 2.0
-    while float(potential_closed_form(hi, params)) < half_level:
-        hi *= 2.0
-        if hi > 1e6 / p:
-            raise RuntimeError("right half-depth crossing not found")
-    right = _bisect_level(params, half_level, report.x0, hi)
-    return {
-        "x0": report.x0,
-        "V_min": report.v_min,
-        "asymptote": asym,
-        "depth": depth,
-        "width_at_half_depth": right - left,
-        "n_max": max_bound_states(params),
-    }

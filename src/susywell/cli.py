@@ -1,8 +1,8 @@
 """Command-line front end: spectra, wavefunction tables, validation reports,
 and potential/level plot data in JSON or CSV.
 
-Exit codes: 0 success, 1 validation failure, 2 bad parameters or grid,
-3 state index out of range.
+Exit codes: 0 success, 1 validation failure, 2 bad parameters, grid or
+output path, 3 state index out of range.
 """
 
 from __future__ import annotations
@@ -108,9 +108,13 @@ def _emit(text: str, out: "str | None") -> None:
     path = _resolve_out(out)
     if path is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        click.echo(f"cannot write output file {path}: {exc.strerror}", err=True)
+        sys.exit(EXIT_BAD_PARAMETERS)
 
 
 def _model_options(f):

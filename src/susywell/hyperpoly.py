@@ -291,15 +291,6 @@ def evaluate_derivatives(form: HyperbolicForm, x) -> tuple[np.ndarray, ...]:
     return psi, dpsi, d2psi
 
 
-def evaluate_log_derivative(form: HyperbolicForm, x) -> np.ndarray:
-    """d/dx log|form(x)|; for the rung-k ground form this equals -W(x, a_k)."""
-    p = float(form.p)
-    u, (pm, p1m), _ = _series_parts(form, x, 1)
-    m = 3.0 * p * float(form.sigma) * np.tanh(3.0 * u) + p * float(form.tau) * coth(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return m + p1m / pm
-
-
 def node_counts(forms) -> list["int | None"]:
     """The number of zeros of each form on x > 0, counted exactly.
 

@@ -6,7 +6,8 @@ each block's `diag - shift` entries are filled by one broadcast subtract,
 the pivots are updated in place one row at a time, and the negative
 pivots of the whole block are counted at once.  The scratch block is
 `_BLOCK_ROWS` rows by at most `SHIFT_BATCH` shifts; wider batches are
-counted in column chunks.  The Thomas solve is a straight Python sweep.
+counted in column chunks.  The Thomas solve is one Python sweep over
+the rows.
 """
 
 from __future__ import annotations
@@ -90,24 +91,22 @@ def shifted_tridiag_solve(diag, off, shift, rhs):
     if n < 2:
         raise ValueError("tridiagonal solve needs at least two rows")
     pivmin = pivot_floor(off * off)
-    shift = float(shift)
-    cp = np.empty(n - 1, dtype=np.float64)
+    cp = np.empty(n, dtype=np.float64)
     x = np.empty(n, dtype=np.float64)
-    den = diag[0] - shift
-    if abs(den) < pivmin:
-        den = pivmin if den >= 0.0 else -pivmin
-    cp[0] = off[0] / den
-    x[0] = rhs[0] / den
-    for i in range(1, n - 1):
-        den = (diag[i] - shift) - off[i - 1] * cp[i - 1]
+    # one sweep over all rows: row -1 and the superdiagonal entry past the
+    # last row are 0.0, and x - 0.0 * 0.0 == x exactly; the memoryviews read
+    # and write the entries as Python floats, not numpy scalars
+    cpv, xv = memoryview(cp), memoryview(x)
+    e = c = y = 0.0  # the previous row's superdiagonal entry, cp and x
+    up = np.append(off, 0.0)
+    rows = zip(memoryview(diag - float(shift)), memoryview(up), memoryview(rhs))
+    for i, (d, u, r) in enumerate(rows):
+        den = d - e * c
         if abs(den) < pivmin:
             den = pivmin if den >= 0.0 else -pivmin
-        cp[i] = off[i] / den
-        x[i] = (rhs[i] - off[i - 1] * x[i - 1]) / den
-    den = (diag[n - 1] - shift) - off[n - 2] * cp[n - 2]
-    if abs(den) < pivmin:
-        den = pivmin if den >= 0.0 else -pivmin
-    x[n - 1] = (rhs[n - 1] - off[n - 2] * x[n - 2]) / den
+        c = cpv[i] = u / den
+        y = xv[i] = (r - e * y) / den
+        e = u
     for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
+        y = xv[i] = xv[i] - cpv[i] * y
     return x

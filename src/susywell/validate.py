@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from . import analysis, hyperpoly, oracle
-from .params import ModelParams, ladder
+from .params import ModelParams, ladder, ladder_offset, shift_constant
 from .potential import partner_plus, potential_closed_form, shape_invariance_residual
 from .spectrum import Spectrum, full_spectrum, max_bound_states, state_decay_rate
 
@@ -73,8 +73,18 @@ def _hamiltonian(params, grid, perturb) -> oracle.DiscretizedHamiltonian:
 
 
 def _check_telescoping(well: _Well) -> CheckResult:
-    # full_spectrum compared the closed, telescoped and summed routes
-    # exactly and would have raised on any disagreement
+    params = well.params
+    a0 = ladder_offset(ladder(params, 0))
+    running = Fraction(0)
+    for n, closed in well.spec.levels:
+        telescoped = ladder_offset(ladder(params, n)) - a0
+        if not closed == telescoped == running:
+            return CheckResult(
+                "telescoping", False,
+                f"energy routes disagree at n={n}: closed {closed}, "
+                f"telescoped {telescoped}, summed {running}",
+            )
+        running += shift_constant(params, n)
     return CheckResult(
         "telescoping", True,
         f"sum of shift constants equals closed form for n<=n_max={well.spec.n_max}",

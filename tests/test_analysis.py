@@ -9,10 +9,10 @@ from susywell.analysis import (
     find_minimum,
     min_polynomial,
     minimum_polynomial_coefficients,
-    well_characteristics,
 )
 from susywell.params import make_params
 from susywell.potential import potential_closed_form
+from susywell.spectrum import max_bound_states
 
 PR = make_params(7, 0.5)
 
@@ -97,22 +97,9 @@ def test_polynomial_single_root_beyond_one():
     assert 1.0 < math.exp(float(PR.p) * rep.x0) < 6.0
 
 
-def test_well_characteristics():
-    wc = well_characteristics(PR)
-    assert wc["depth"] == pytest.approx(240.25 - wc["V_min"])
-    assert wc["depth"] > 240.25
-    assert wc["width_at_half_depth"] > 0.0
-    assert wc["n_max"] == 7
-    # independent route: locate both half-depth crossings by dense scan
-    half = wc["V_min"] + 0.5 * wc["depth"]
-    xs = np.linspace(0.05, 6.0, 400001)
-    below = potential_closed_form(xs, PR) < half
-    left = xs[np.argmax(below)]
-    right = xs[len(below) - 1 - np.argmax(below[::-1])]
-    assert wc["width_at_half_depth"] == pytest.approx(right - left, abs=1e-3)
-
-
 def test_deeper_wells_hold_more_states():
-    counts = [well_characteristics(make_params(b, 0.5))["n_max"] for b in (3, 5, 7, 9)]
-    assert counts == sorted(counts)
-    assert counts[0] < counts[-1]
+    wells = [make_params(b, 0.5) for b in (3, 5, 7, 9)]
+    depths = [float((pr.A - pr.B) ** 2) - find_minimum(pr).v_min for pr in wells]
+    assert depths == sorted(depths)
+    # floor((2B + 3p) / (4p)) = B at p = 1/2
+    assert [max_bound_states(pr) for pr in wells] == [3, 5, 7, 9]

@@ -319,6 +319,17 @@ def test_out_file_and_env_dir(runner, tmp_path, monkeypatch):
     assert (tmp_path / "bare.csv").exists()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_a_parameter_error(runner, tmp_path, where):
+    path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    result = runner.invoke(main, ["spectrum", "--B", "7", "--p", "1/2", "--out", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and str(path) in lines[0]
+
+
 @pytest.mark.parametrize(
     "args",
     [

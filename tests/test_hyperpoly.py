@@ -17,7 +17,6 @@ from susywell.hyperpoly import (
     eigenfunction,
     evaluate,
     evaluate_derivatives,
-    evaluate_log_derivative,
     evaluate_scaled,
     ground_form,
     node_counts,
@@ -188,7 +187,8 @@ def test_evaluate_far_field_log_slope():
 def test_log_derivative_of_ground_is_minus_superpotential():
     f0 = eigenfunction(0, PR)
     xs = np.geomspace(0.01, 20, 200)
-    ld = evaluate_log_derivative(f0, xs)
+    psi, dpsi, _ = evaluate_derivatives(f0, xs)
+    ld = dpsi / psi
     w = superpotential(xs, ladder(PR, 0), PR.p)
     assert np.max(np.abs(ld + w)) < 1e-9 * np.max(np.abs(w))
 
@@ -342,7 +342,7 @@ def test_form_invariants_enforced():
 
 def test_domain_errors():
     f0 = eigenfunction(0, PR)
-    for fn in (evaluate, evaluate_scaled, evaluate_log_derivative):
+    for fn in (evaluate, evaluate_scaled, evaluate_derivatives):
         with pytest.raises(ValueError):
             fn(f0, 0.0)
         with pytest.raises(ValueError):

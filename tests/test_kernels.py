@@ -100,3 +100,16 @@ def test_solve_survives_singular_shift():
     m = _dense(diag, off)
     assert np.linalg.norm(m @ v - eigs[0] * v) < 1e-6
 
+
+def test_solve_clamps_first_and_last_pivot():
+    # the shift zeroes the first and the last pivot exactly; the last row is
+    # decoupled and its right-hand side is 0, so the system stays consistent
+    shift = 1.0
+    diag = np.array([1.0, 3.0, 3.5, 3.0, 2.5, 1.0])
+    off = np.array([1.0, -1.0, 0.5, 1.0, 0.0])
+    rhs = np.array([0.0, 1.0, -2.0, 3.0, 4.0, 0.0])
+    x = kernels.shifted_tridiag_solve(diag, off, shift, rhs)
+    assert np.all(np.isfinite(x))
+    m = _dense(diag, off) - shift * np.eye(6)
+    assert np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs) < 1e-12
+    assert np.allclose(x[:5], np.linalg.solve(m[:5, :5], rhs[:5]), rtol=1e-12, atol=1e-12)

@@ -8,7 +8,6 @@ from click.testing import CliRunner
 from susywell.cli import main
 from susywell.params import ladder, ladder_offset, make_params
 from susywell.spectrum import (
-    energy,
     full_spectrum,
     max_bound_states,
     raw_energy_formula,
@@ -19,13 +18,13 @@ PR = make_params(7, 0.5)
 
 
 def test_reference_levels():
-    assert [float(energy(n, PR)) for n in range(8)] == [0, 58, 108, 150, 184, 210, 228, 238]
+    levels = full_spectrum(PR).levels
+    assert [n for n, _ in levels] == list(range(8))
+    assert [float(e) for _, e in levels] == [0, 58, 108, 150, 184, 210, 228, 238]
 
 
 def test_energy_errors_beyond_cutoff():
-    with pytest.raises(IndexError, match="n_max = 7"):
-        energy(8, PR)
-    # the bare quadratic is still evaluable through the escape hatch
+    # the bare quadratic stays evaluable beyond the cutoff
     assert raw_energy_formula(8, PR) == 240
     with pytest.raises(ValueError):
         raw_energy_formula(-1, PR)
@@ -85,8 +84,9 @@ def test_energy_equals_offset_difference():
         b = Fraction(rng.randint(1, 50), rng.randint(1, 10))
         p = b * Fraction(rng.randint(1, 99), 100)
         pr = make_params(b, p)
-        n = rng.randint(0, max_bound_states(pr))
-        assert energy(n, pr) == ladder_offset(ladder(pr, n)) - ladder_offset(ladder(pr, 0))
+        a0 = ladder_offset(ladder(pr, 0))
+        for n, e in full_spectrum(pr).levels:
+            assert e == ladder_offset(ladder(pr, n)) - a0
 
 
 def test_serialization():

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from susywell import hyperpoly, oracle, validate
 from susywell.cli import main
 from susywell.params import make_params
-from susywell.spectrum import max_bound_states
+from susywell.spectrum import full_spectrum, max_bound_states
 from susywell.validate import run_validation
 
 # the ladder construction is exact only through its first rung, so for any
@@ -56,6 +56,22 @@ def test_small_well_passes_everything(small_report):
     assert small_report.passed
     assert small_report.first_failure() is None
 
+
+
+def test_telescoping_reports_the_first_disagreement(monkeypatch):
+    pr = make_params(7, "1/2")
+    well = SimpleNamespace(params=pr, spec=full_spectrum(pr))
+    check = validate._check_telescoping(well)
+    assert check.passed
+    assert check.detail == "sum of shift constants equals closed form for n<=n_max=7"
+    # break the summed route at the step from rung 3 to rung 4
+    exact = validate.shift_constant
+    monkeypatch.setattr(validate, "shift_constant", lambda params, k: exact(params, k) + (k == 3))
+    check = validate._check_telescoping(well)
+    assert not check.passed
+    assert check.detail == (
+        "energy routes disagree at n=4: closed 184, telescoped 184, summed 185"
+    )
 
 def test_validation_sums_without_blas(monkeypatch):
     # OpenBLAS spreads a dot of more than 10000 entries over its threads, so
