@@ -7,21 +7,22 @@ output path, 3 state index out of range.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 
 import click
 import numpy as np
 
-from . import analysis, hyperpoly, oracle
+from . import analysis, hyperpoly, oracle, validate
 from .params import Float64RangeError, make_params
 from .potential import potential_closed_form
 from .spectrum import full_spectrum, max_bound_states, state_decay_rate
-from .validate import run_validation
 
 EXIT_VALIDATION_FAILURE = 1
 EXIT_BAD_PARAMETERS = 2
@@ -95,26 +96,39 @@ def _float64_limits(command):
     return run
 
 
-def _resolve_out(out: "str | None") -> "str | None":
+def _unwritable(path: str, reason: str):
+    click.echo(f"cannot write output file {path}: {reason}", err=True)
+    sys.exit(EXIT_BAD_PARAMETERS)
+
+
+def _resolve_out(ctx, param, out: "str | None") -> "str | None":
+    """The --out path, joined with $SUSYWELL_OUT_DIR when bare.  A path that
+    names a directory, or whose directory is missing or not a directory,
+    exits 2 before any work, with the reason open() would give."""
     if out is None:
         return None
     base = os.environ.get("SUSYWELL_OUT_DIR", "")
-    if base and not os.path.dirname(out):
-        return os.path.join(base, out)
-    return out
+    path = os.path.join(base, out) if base and not os.path.dirname(out) else out
+    if path.endswith(os.sep) or os.path.isdir(path):
+        _unwritable(path, os.strerror(errno.EISDIR))
+    try:
+        parent_is_dir = stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode)
+    except OSError as exc:
+        _unwritable(path, exc.strerror)
+    if not parent_is_dir:
+        _unwritable(path, os.strerror(errno.ENOTDIR))
+    return path
 
 
-def _emit(text: str, out: "str | None") -> None:
-    path = _resolve_out(out)
+def _emit(text: str, path: "str | None") -> None:
     if path is None:
         click.echo(text, nl=False)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    except OSError as exc:
-        click.echo(f"cannot write output file {path}: {exc.strerror}", err=True)
-        sys.exit(EXIT_BAD_PARAMETERS)
+    except OSError as exc:  # e.g. permissions, which only the write shows
+        _unwritable(path, exc.strerror)
 
 
 def _model_options(f):
@@ -134,7 +148,7 @@ def _grid_options(f):
 def _output_options(f):
     f = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
                      show_default=True)(f)
-    f = click.option("--out", type=str, default=None,
+    f = click.option("--out", type=str, default=None, callback=_resolve_out,
                      help="output path (joined with $SUSYWELL_OUT_DIR when bare)")(f)
     return f
 
@@ -256,7 +270,7 @@ def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out, perturb_po
     params = _parse_params(b_text, p_text)
     grid = _make_grid(params, x_min, x_max, grid_points)
     try:
-        report = run_validation(params, grid, perturb=perturb_potential)
+        report = validate.run_validation(params, grid, perturb=perturb_potential)
     except oracle.GridError as exc:  # inside the singular wall, or too few points
         click.echo(f"invalid grid: {exc}", err=True)
         sys.exit(EXIT_BAD_PARAMETERS)

@@ -6,8 +6,12 @@ each block's `diag - shift` entries are filled by one broadcast subtract,
 the pivots are updated in place one row at a time, and the negative
 pivots of the whole block are counted at once.  The scratch block is
 `_BLOCK_ROWS` rows by at most `SHIFT_BATCH` shifts; wider batches are
-counted in column chunks.  The Thomas solve is one Python sweep over
-the rows.
+counted in column chunks.  A count stops early, with the count of the
+full walk, once every later row is diagonally dominant for the batch's
+largest shift and every carried pivot is at least the off-diagonal
+entry it meets (the Gershgorin argument behind tridiagonal bisection:
+Barth, Martin & Wilkinson 1967; Kahan 1966): then no later pivot can be
+negative or clamped.  The Thomas solve is one Python sweep over the rows.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ _SAFE_MIN = float(np.finfo(np.float64).tiny)
 # _BLOCK_ROWS rows the count's scratch block stays near 256 KB.
 SHIFT_BATCH = 256
 _BLOCK_ROWS = 128
+# relative margin of the early-exit tests; see _dominance
+_MARGIN = 1e-9
 
 
 def pivot_floor(off_squared: np.ndarray) -> float:
@@ -41,17 +47,49 @@ def sturm_counts(diag, off_squared, shifts):
     off_squared = np.ascontiguousarray(off_squared, dtype=np.float64)
     shifts = np.atleast_1d(np.ascontiguousarray(shifts, dtype=np.float64))
     pivmin = pivot_floor(off_squared)
+    edge, tail = _dominance(diag, off_squared, pivmin)
     return np.concatenate([
-        _count_below(diag, off_squared, shifts[c:c + SHIFT_BATCH], pivmin)
+        _count_below(diag, off_squared, shifts[c:c + SHIFT_BATCH], pivmin, edge, tail)
         for c in range(0, max(shifts.shape[0], 1), SHIFT_BATCH)
     ])
 
 
-def _count_below(diag, off_squared, shifts, pivmin):
+def _dominance(diag, off_squared, pivmin):
+    """The early-exit bounds of the Sturm count: no pivot at row r or later
+    is negative or clamped when the pivot carried from row r-1 is at least
+    edge[r-1] and every shift is at most tail[r].
+
+    With a_j = sqrt(off_squared_j), a_{-1} = a_{n-1} = 0 and u = 2**-53:
+    if the computed pivot q_{j-1} >= a_{j-1} (so q_{j-1} >= pivmin, since a
+    pivot below pivmin is clamped to -pivmin), the computed pivot
+    q_j = fl(fl(diag_j - s) - fl(a_{j-1}**2 / q_{j-1})) is at least
+    (1 - 2u)(diag_j - s) - a_{j-1} - 2**-1074, and so at least a_j + pivmin
+    when diag_j - s - a_{j-1} - a_j >= 2u (diag_j - s) + pivmin + 2**-1074.
+    By induction every later pivot is then positive and above the clamp,
+    also on the last row and wherever a_j = 0.  tail asks for more, a
+    margin of _MARGIN (1e-9) times |diag_j| + a_{j-1} + a_j plus 2 pivmin:
+    2 pivmin covers pivmin + 2**-1074, and the roundings of the sqrt and
+    of the sums in the test, with the 2u term at s = tail (a lower shift
+    adds more slack than 2u term), stay below 8u times that sum, under a
+    millionth of the relative margin.  edge asks for
+    fl(sqrt(off_squared_j)) (1 + _MARGIN), at least a_j however the sqrt
+    rounds."""
+    e = np.sqrt(off_squared)
+    reach = np.zeros_like(diag)  # a_{j-1} + a_j
+    reach[:-1] += e
+    reach[1:] += e
+    slack = diag - reach - (_MARGIN * (np.abs(diag) + reach) + 2.0 * pivmin)
+    return e * (1.0 + _MARGIN), np.minimum.accumulate(slack[::-1])[::-1]
+
+
+def _count_below(diag, off_squared, shifts, pivmin, edge, tail):
     """sturm_counts for at most SHIFT_BATCH shifts; every pivot is
     d_i = (diag_i - shift) - off_squared_{i-1} / d_{i-1}, and any pivot
-    smaller than pivmin in magnitude is replaced by -pivmin."""
+    smaller than pivmin in magnitude is replaced by -pivmin.  The walk
+    stops at a block edge where _dominance shows that no later pivot
+    counts (a NaN shift or bound never stops it)."""
     n, width = diag.shape[0], shifts.shape[0]
+    top = shifts.max(initial=-np.inf)
     pivots = np.empty((_BLOCK_ROWS + 1, width))  # row 0: the pivot before the block
     rows = list(pivots)
     floor = np.full(width, pivmin)
@@ -64,6 +102,8 @@ def _count_below(diag, off_squared, shifts, pivmin):
     carry[small] = -pivmin
     counts = (carry < 0.0).astype(np.int64)
     for start in range(1, n, _BLOCK_ROWS):
+        if top <= tail[start] and (carry >= edge[start - 1]).all():
+            break
         stop = min(start + _BLOCK_ROWS, n)
         block = pivots[1:stop - start + 1]
         np.subtract(diag[start:stop, None], shifts, out=block)

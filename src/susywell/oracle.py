@@ -25,8 +25,9 @@ from .params import ModelParams, ladder
 from .potential import potential_closed_form, superpotential
 from .spectrum import max_bound_states, state_decay_rate
 
-# documented contract is 1e-10 * ||H||; running tighter costs ~10 extra
-# bisection rounds and keeps inverse-iteration tails below the node floor
+# bisection bracket width, relative to the Gershgorin bounds; 1e-10 would
+# save ~10 bisection rounds, but the tighter value keeps inverse-iteration
+# tails below the node floor
 _BISECT_REL_TOL = 1e-13
 _MAX_BISECT_ITER = 200
 _MAX_INVERSE_ITER = 60
@@ -181,8 +182,10 @@ def _multisection_pass(diag, off2, lo, hi):
 
 
 def lowest_eigenvalues(H: DiscretizedHamiltonian, m: int) -> list[float]:
-    """The m smallest eigenvalues, each isolated by Sturm bisection to
-    absolute tolerance 1e-10 * ||H||; deterministic for fixed inputs."""
+    """The m smallest eigenvalues, each the midpoint of a Sturm bisection
+    bracket no wider than _BISECT_REL_TOL (1e-13) times max(|lo|, |hi|, 1),
+    where lo and hi are the Gershgorin bounds of H; deterministic for fixed
+    inputs."""
     n = H.diag.shape[0]
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= {n}, got {m}")

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
-from susywell import analysis
+from susywell import analysis, cli, validate
 from susywell.cli import main
 
 
@@ -328,6 +328,33 @@ def test_unwritable_out_is_a_parameter_error(runner, tmp_path, where):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and str(path) in lines[0]
+
+
+def test_out_that_fails_only_at_write_time_is_a_parameter_error(runner, tmp_path, monkeypatch):
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    path = tmp_path / "x.json"
+    result = runner.invoke(main, ["spectrum", "--B", "7", "--p", "1/2", "--out", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr == f"cannot write output file {path}: Permission denied\n"
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_rejected_before_any_work(runner, tmp_path, monkeypatch, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("validation ran before the --out check")
+
+    monkeypatch.setattr(validate, "run_validation", no_work)
+    path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+    result = runner.invoke(
+        main, ["validate", "--B", "1143/40", "--p", "3/5", "--out", str(path)]
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"cannot write output file {path}: {reason}\n"
 
 
 @pytest.mark.parametrize(

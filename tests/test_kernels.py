@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from susywell import kernels
+from susywell import kernels, oracle
+from susywell.params import make_params
+from susywell.spectrum import full_spectrum
 
 
 def _random_tridiag(rng, n):
@@ -65,6 +69,97 @@ def test_blocked_counts_match_reference(n, n_shifts):
     got = kernels.sturm_counts(diag, off2, shifts)
     assert got.dtype == np.int64
     assert np.array_equal(got, _reference_counts(diag, off2, shifts))
+
+
+def _batched_counts(diag, off_squared, batches):
+    # one kernel call per batch: the walk stops for a batch only when it
+    # stops for the batch's largest shift
+    return np.concatenate([kernels.sturm_counts(diag, off_squared, b) for b in batches])
+
+
+@pytest.mark.parametrize("b, p", [("7", "1/2"), ("10", "1/4"), ("3/5", "1/2")])
+def test_early_exit_counts_match_reference_on_validate_hamiltonians(b, p):
+    # validate's own matrices; a shift just above an eigenvalue changes sign
+    # deep in the tail, where only the pivot test keeps the walk going
+    params = make_params(Fraction(b), Fraction(p))
+    H = oracle.build_hamiltonian(params, oracle.default_grid(params))
+    off2 = H.offdiag * H.offdiag
+    levels = np.array(oracle.lowest_eigenvalues(H, 4))
+    rng = np.random.default_rng(11)
+    spread = np.logspace(-3, -12, 10)
+    near = levels[:, None] * (1.0 + np.concatenate((spread, -spread)))
+    top = float(full_spectrum(params).asymptote)
+    batches = [*near, *np.sort(rng.uniform(levels[0] - 1.0, top, size=40)).reshape(10, 4)]
+    expect = _reference_counts(H.diag, off2, np.concatenate(batches))
+    assert np.array_equal(_batched_counts(H.diag, off2, batches), expect)
+
+
+def test_early_exit_counts_match_reference_with_zero_off_diagonals():
+    rng = np.random.default_rng(5)
+    n = 6 * kernels._BLOCK_ROWS + 17
+    off = rng.uniform(-2.0, 2.0, size=n - 1)
+    off[rng.random(n - 1) < 0.15] = 0.0
+    reach = np.zeros(n)
+    reach[:-1] += np.abs(off)
+    reach[1:] += np.abs(off)
+    # random head, then a tail that is barely diagonally dominant up to
+    # shift 1, so that a small pivot carried into it can turn the next negative
+    diag = np.where(np.arange(n) < 2 * kernels._BLOCK_ROWS,
+                    rng.uniform(-4.0, 4.0, size=n), 1.0 + reach + rng.uniform(0.0, 0.05, size=n))
+    off2 = off * off
+    shifts = np.concatenate((rng.uniform(0.0, 1.0, size=200), rng.uniform(-8.0, 8.0, size=40)))
+    batches = [*shifts[:200, None], *shifts[200:].reshape(4, 10)]
+    expect = _reference_counts(diag, off2, shifts)
+    assert np.array_equal(_batched_counts(diag, off2, batches), expect)
+
+
+def test_walk_goes_on_past_a_dominant_tail_when_the_edge_pivot_is_small():
+    # rows from 2 * _BLOCK_ROWS + 1 on are dominant for shift 0, but the
+    # pivot carried into them is 0.25 < |e| = 1, so the next pivot is
+    # 3 - 1 / 0.25 = -1 and counts
+    edge = 2 * kernels._BLOCK_ROWS
+    n = edge + kernels._BLOCK_ROWS + 9
+    rng = np.random.default_rng(3)
+    diag = np.full(n, 3.0)
+    diag[:edge] = rng.uniform(-3.0, 3.0, size=edge)
+    off2 = np.ones(n - 1)
+    off2[:edge - 1] = rng.uniform(0.5, 2.0, size=edge - 1)
+    pivot = diag[0]
+    for i in range(1, edge):
+        pivot = diag[i] - off2[i - 1] / pivot
+    diag[edge] = off2[edge - 1] / pivot + 0.25
+    shifts = np.array([0.0, -0.5])
+    expect = _reference_counts(diag, off2, shifts)
+    head = _reference_counts(diag[:edge + 1], off2[:edge], shifts)
+    assert expect[0] == head[0] + 1  # the tail does count at shift 0
+    assert np.array_equal(kernels.sturm_counts(diag, off2, shifts), expect)
+
+
+@pytest.mark.parametrize("case", ["path-laplacian", "zero-tail", "rounding"])
+def test_shift_on_the_dominance_bound_walks_to_the_last_row(case):
+    # Only the margin keeps the walk going in each case.  Path-graph
+    # Laplacian at shift 0: every row sum d_j - |e_{j-1}| - |e_j| is exactly
+    # 0 and every pivot is 1 but the last, which is exactly 0 and is clamped
+    # and counted.  A zero matrix but for diag_0 = 1, at a shift just below
+    # 0: every later pivot is a positive 1e-310, below pivmin, so each is
+    # clamped and counted.  Rounding: the first pivot exceeds |e_0| = 1 by
+    # 1e-8, which the second pivot, near |e_1| = 1e10, rounds away; the last
+    # row sum is exactly 0 and the last pivot is 1e10 - 1e20 / 1e10 = 0 (the
+    # shift lies below -2 pivmin = -4.5e-288, the absolute margin).
+    n = 3 * kernels._BLOCK_ROWS + 5
+    if case == "path-laplacian":
+        diag, off2, shift, count = np.full(n, 2.0), np.ones(n - 1), 0.0, 1
+        diag[[0, -1]] = 1.0
+    elif case == "zero-tail":
+        diag, off2, shift, count = np.zeros(n), np.zeros(n - 1), -1e-310, n - 1
+        diag[0] = 1.0
+    else:
+        diag, off2 = np.array([1.0 + 1e-8, 1.0 + 1e10, 1e10]), np.array([1.0, 1e20])
+        shift, count = -1e-280, 1
+    shifts = np.array([shift])
+    expect = _reference_counts(diag, off2, shifts)
+    assert expect.tolist() == [count]
+    assert np.array_equal(kernels.sturm_counts(diag, off2, shifts), expect)
 
 
 def test_counts_clamp_exact_pivot():
