@@ -2,13 +2,13 @@
 and potential/level plot data in JSON or CSV.
 
 Exit codes: 0 success, 1 validation failure, 2 bad parameters, grid or
-output path, 3 state index out of range.
+output path, 3 state index out of range.  The command group maps a
+Float64RangeError or GridError raised by any command to one line and exit 2.
 """
 
 from __future__ import annotations
 
 import errno
-import functools
 import json
 import math
 import os
@@ -83,19 +83,6 @@ def _parse_params(b_text: str, p_text: str):
         sys.exit(EXIT_BAD_PARAMETERS)
 
 
-def _float64_limits(command):
-    """Exit 2 with one line when the well's numbers leave the float64 range."""
-    @functools.wraps(command)
-    def run(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except Float64RangeError as exc:
-            click.echo(f"invalid parameters: {exc}", err=True)
-            sys.exit(EXIT_BAD_PARAMETERS)
-
-    return run
-
-
 def _unwritable(path: str, reason: str):
     click.echo(f"cannot write output file {path}: {reason}", err=True)
     sys.exit(EXIT_BAD_PARAMETERS)
@@ -154,19 +141,29 @@ def _output_options(f):
 
 
 def _make_grid(params, x_min, x_max, grid_points):
-    try:
-        base = oracle.default_grid(params, grid_points)
-        return oracle.RadialGrid(
-            x_min=base.x_min if x_min is None else x_min,
-            x_max=base.x_max if x_max is None else x_max,
-            n_points=grid_points,
-        )
-    except oracle.GridError as exc:
-        click.echo(f"invalid grid: {exc}", err=True)
+    base = oracle.default_grid(params, grid_points)
+    return oracle.RadialGrid(
+        x_min=base.x_min if x_min is None else x_min,
+        x_max=base.x_max if x_max is None else x_max,
+        n_points=grid_points,
+    )
+
+
+class _Group(click.Group):
+    """Exit 2 with one line when a command's well leaves the float64 range or
+    its grid cannot carry the problem."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except Float64RangeError as exc:
+            click.echo(f"invalid parameters: {exc}", err=True)
+        except oracle.GridError as exc:
+            click.echo(f"invalid grid: {exc}", err=True)
         sys.exit(EXIT_BAD_PARAMETERS)
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Closed-form hyperbolic-well solver with an independent numeric cross-check."""
 
@@ -201,7 +198,6 @@ def cmd_spectrum(b_text, p_text, fmt, out):
 @_grid_options
 @_output_options
 @click.option("-n", "state_index", type=int, required=True, help="state index")
-@_float64_limits
 def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state_index):
     """Exact coefficients of state n plus a normalized sampled table."""
     params = _parse_params(b_text, p_text)
@@ -223,12 +219,10 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
     values = hyperpoly.evaluate(form, xs)
     norm = oracle.inner_product(values, values, grid)
     if not 0.0 < norm < math.inf:
-        click.echo(
-            f"invalid grid: state {state_index} cannot be normalized on it (sampled "
-            f"norm {norm}: the samples underflow to 0 or overflow float64)",
-            err=True,
+        raise oracle.GridError(
+            f"state {state_index} cannot be normalized on it (sampled norm "
+            f"{norm}: the samples underflow to 0 or overflow float64)"
         )
-        sys.exit(EXIT_BAD_PARAMETERS)
     values = values / np.sqrt(norm)
     if fmt == "csv":
         lines = [
@@ -262,18 +256,10 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
 @_model_options
 @_grid_options
 @_output_options
-@click.option("--perturb-potential", type=float, default=0.0,
-              help="test-only: scale the numeric potential by (1+EPS)")
-@_float64_limits
-def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out, perturb_potential):
+def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out):
     """Run the full cross-validation suite; exit 0 only if every check passes."""
     params = _parse_params(b_text, p_text)
-    grid = _make_grid(params, x_min, x_max, grid_points)
-    try:
-        report = validate.run_validation(params, grid, perturb=perturb_potential)
-    except oracle.GridError as exc:  # inside the singular wall, or too few points
-        click.echo(f"invalid grid: {exc}", err=True)
-        sys.exit(EXIT_BAD_PARAMETERS)
+    report = validate.run_validation(params, _make_grid(params, x_min, x_max, grid_points))
     if fmt == "json":
         minimum = _minimum_fields(report.extras["minimum"])
         text = _json_text({
@@ -310,7 +296,6 @@ def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out, perturb_po
 @_model_options
 @_grid_options
 @_output_options
-@_float64_limits
 def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
     """Plot data: x, V(x), one level line per bound state, and the asymptote."""
     params = _parse_params(b_text, p_text)
@@ -357,7 +342,6 @@ def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
 @main.command("minimum")
 @_model_options
 @_output_options
-@_float64_limits
 def cmd_minimum(b_text, p_text, fmt, out):
     """Locate the well minimum and report the polynomial root probe."""
     params = _parse_params(b_text, p_text)

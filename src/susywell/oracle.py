@@ -84,7 +84,6 @@ class DiscretizedHamiltonian:
 @dataclass(frozen=True)
 class EigenResult:
     index: int
-    eigenvalue: float
     eigenvector: np.ndarray  # unit L2 norm under the trapezoid weight
     node_count: int
     residual: float
@@ -195,9 +194,9 @@ def lowest_eigenvalues(H: DiscretizedHamiltonian, m: int) -> list[float]:
 def eigenvector_for(H: DiscretizedHamiltonian, eigenvalue: float) -> EigenResult:
     """Inverse iteration at the given (isolated) eigenvalue.
 
-    Returns the trapezoid-unit-norm vector, its node count, the Rayleigh
-    refined eigenvalue, and the 2-norm residual ||Hv - lambda v|| for a
-    unit 2-norm v.
+    Returns the trapezoid-unit-norm vector, its node count, its index (the
+    Sturm count just below the Rayleigh quotient lambda), and the 2-norm
+    residual ||Hv - lambda v|| for a unit 2-norm v.
     """
     n = H.diag.shape[0]
     norm = H.norm_bound()
@@ -239,7 +238,6 @@ def eigenvector_for(H: DiscretizedHamiltonian, eigenvalue: float) -> EigenResult
     v_unit = v / np.sqrt(H.grid.h)  # trapezoid-weight unit norm
     return EigenResult(
         index=index,
-        eigenvalue=rayleigh,
         eigenvector=v_unit,
         node_count=nodes,
         residual=residual,

@@ -24,7 +24,7 @@ class Float64RangeError(ValueError):
     """An admissible well whose numbers do not fit float64."""
 
 
-def as_fraction(value: RationalInput, name: str = "value") -> Fraction:
+def as_fraction(value: RationalInput, name: str) -> Fraction:
     """Promote an input to an exact Fraction (floats read bit-exactly)."""
     try:
         return Fraction(value)

@@ -43,7 +43,6 @@ def state_decay_rate(params: ModelParams, n: int) -> Fraction:
 class Spectrum:
     """All retained levels plus the continuum threshold (2B+3p)^2."""
 
-    params: ModelParams
     levels: tuple[tuple[int, Fraction], ...]
     n_max: int
     asymptote: Fraction
@@ -55,4 +54,4 @@ def full_spectrum(params: ModelParams) -> Spectrum:
     n_max = max_bound_states(params)
     levels = tuple((n, raw_energy_formula(n, params)) for n in range(n_max + 1))
     d0 = params.A - params.B
-    return Spectrum(params=params, levels=levels, n_max=n_max, asymptote=d0 * d0)
+    return Spectrum(levels=levels, n_max=n_max, asymptote=d0 * d0)

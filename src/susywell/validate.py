@@ -38,7 +38,6 @@ class CheckResult:
 
 @dataclass
 class ValidationReport:
-    params: ModelParams
     checks: list[CheckResult] = field(default_factory=list)
     # energy_comparison, levels_below_asymptote, minimum (an analysis.MinimumReport)
     extras: dict = field(default_factory=dict)
@@ -57,19 +56,12 @@ class ValidationReport:
 @dataclass(frozen=True)
 class _Well:
     params: ModelParams
-    perturb: float
     spec: Spectrum
     H: oracle.DiscretizedHamiltonian  # on the report's grid, H.grid
     numeric: list[float]  # the n_max + 4 lowest levels of H
     forms: list[hyperpoly.HyperbolicForm]  # the exact forms n = 0..n_max
+    psi01: tuple[np.ndarray, np.ndarray]  # forms 0 and 1 sampled on H.grid
     extras: dict
-
-
-def _hamiltonian(params, grid, perturb) -> oracle.DiscretizedHamiltonian:
-    H = oracle.build_hamiltonian(params, grid)
-    if perturb != 0.0:
-        H = replace(H, diag=H.diag + perturb * potential_closed_form(grid.points(), params))
-    return H
 
 
 def _check_telescoping(well: _Well) -> CheckResult:
@@ -183,7 +175,7 @@ def _check_convergence(well: _Well) -> CheckResult:
     # truncation offset, isolates the h^2 order of the stencil
     e = []
     for n_points in (2999, 5999, 11999):
-        H = _hamiltonian(well.params, replace(well.H.grid, n_points=n_points), well.perturb)
+        H = oracle.build_hamiltonian(well.params, replace(well.H.grid, n_points=n_points))
         e.append(oracle.lowest_eigenvalues(H, 2)[1])
     d1, d2 = e[0] - e[1], e[1] - e[2]
     if d2 == 0.0:
@@ -248,9 +240,8 @@ def _check_orthogonality(well: _Well) -> CheckResult:
 def _check_annihilation(well: _Well) -> CheckResult:
     # norms exclude x < 0.2/p: the x^tau cusp at the origin is outside the
     # derivative stencil's accuracy range for soft exponents
-    xs = well.H.grid.points()
-    keep = xs >= 0.2 / float(well.params.p)
-    psi0 = hyperpoly.evaluate(well.forms[0], xs)
+    keep = well.H.grid.points() >= 0.2 / float(well.params.p)
+    psi0 = well.psi01[0]
     out = oracle.apply_ladder_numeric(well.params, 0, "annihilation", psi0, well.H.grid)
     ratio = float(oracle.norm2(out[keep]) / oracle.norm2(psi0[keep]))
     return CheckResult(
@@ -264,19 +255,16 @@ def _check_intertwining(well: _Well) -> CheckResult:
     # A psi_1 must be an eigenvector of the plus-partner at the same level
     params, grid = well.params, well.H.grid
     xs = grid.points()
-    psi1 = hyperpoly.evaluate(well.forms[1], xs)
-    down = oracle.apply_ladder_numeric(params, 0, "annihilation", psi1, grid)
+    down = oracle.apply_ladder_numeric(params, 0, "annihilation", well.psi01[1], grid)
     e1 = float(well.spec.levels[1][1])
     vplus = partner_plus(xs, ladder(params, 0), params.p)
     h = grid.h
-    lap = np.empty_like(down)
+    lap = np.zeros_like(down)
     lap[1:-1] = (down[:-2] - 2.0 * down[1:-1] + down[2:]) / (h * h)
-    lap[0] = (down[1] - 2.0 * down[0]) / (h * h)
-    lap[-1] = (down[-2] - 2.0 * down[-1]) / (h * h)
     r = -lap + (vplus - e1) * down
     # norm over the smooth bulk: near the origin the stencil error has
     # grid-scale structure the Laplacian amplifies by 1/h^2, and the end
-    # rows assume Dirichlet values this sampled function does not satisfy
+    # rows, which the stencil does not reach, are dropped
     keep = xs >= 0.2 / float(params.p)
     keep[:2] = False
     keep[-2:] = False
@@ -292,8 +280,7 @@ def _check_oracle_self(well: _Well) -> CheckResult:
     grid = well.H.grid
     norm = well.H.norm_bound()
     issues = []
-    xs = grid.points()
-    for n, form in enumerate(well.forms[:2]):
+    for n, sym in enumerate(well.psi01):
         res = oracle.eigenvector_for(well.H, well.numeric[n])
         if res.residual > 1e-8 * norm:
             issues.append(f"n={n} residual {res.residual:.2e}")
@@ -301,7 +288,6 @@ def _check_oracle_self(well: _Well) -> CheckResult:
             issues.append(f"n={n} node count {res.node_count}")
         if res.index != n:
             issues.append(f"n={n} index {res.index}")
-        sym = hyperpoly.evaluate(form, xs)
         sym = sym / np.sqrt(oracle.inner_product(sym, sym, grid))
         num = res.eigenvector
         if oracle.inner_product(sym, num, grid) < 0:
@@ -354,9 +340,7 @@ _CHECKS = (
 
 
 def run_validation(
-    params: ModelParams,
-    grid: "oracle.RadialGrid | None" = None,
-    perturb: float = 0.0,
+    params: ModelParams, grid: "oracle.RadialGrid | None" = None
 ) -> ValidationReport:
     """Run every check; deterministic, all tolerances fixed here.  grid=None
     means oracle.default_grid(params); GridError when it is too coarse,
@@ -371,16 +355,15 @@ def run_validation(
         )
     forms = [hyperpoly.eigenfunction(n, params) for n in range(n_max + 1)]
     hyperpoly.check_float64(forms)  # the checks evaluate psi, psi' and psi''
-    H = _hamiltonian(params, grid, perturb)
+    H = oracle.build_hamiltonian(params, grid)
+    xs = grid.points()
     well = _Well(
         params=params,
-        perturb=perturb,
         spec=full_spectrum(params),
         H=H,
         numeric=oracle.lowest_eigenvalues(H, m),
         forms=forms,
+        psi01=(hyperpoly.evaluate(forms[0], xs), hyperpoly.evaluate(forms[1], xs)),
         extras={},
     )
-    return ValidationReport(
-        params=params, checks=[check(well) for check in _CHECKS], extras=well.extras
-    )
+    return ValidationReport(checks=[check(well) for check in _CHECKS], extras=well.extras)

@@ -6,8 +6,9 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
-from susywell import analysis, cli, validate
+from susywell import analysis, cli, hyperpoly, oracle, validate
 from susywell.cli import main
+from susywell.params import Float64RangeError
 
 
 @pytest.fixture()
@@ -282,11 +283,10 @@ def test_validate_deep_well_reports_hierarchy_failures(runner):
     }
 
 
-def test_validate_perturbation_control(runner):
+def test_validate_perturbation_control(runner, perturbed_oracle):
     result = runner.invoke(
         main,
-        ["validate", "--B", "0.6", "--p", "0.5", "--grid-points", "6000",
-         "--perturb-potential", "0.1", "--format", "csv"],
+        ["validate", "--B", "0.6", "--p", "0.5", "--grid-points", "6000", "--format", "csv"],
     )
     assert result.exit_code == 1
     assert "spectrum-vs-oracle,FAIL" in result.output
@@ -384,3 +384,35 @@ def test_bad_grid_is_a_parameter_error(runner, args):
     assert "Traceback" not in result.output
     message = result.output.strip().splitlines()
     assert len(message) == 1 and message[0].startswith("invalid grid: ")
+
+
+@pytest.mark.parametrize(
+    "error, prefix",
+    [(Float64RangeError, "invalid parameters: "), (oracle.GridError, "invalid grid: ")],
+    ids=["float64", "grid"],
+)
+@pytest.mark.parametrize(
+    "module, target, args",
+    [
+        pytest.param(cli, "full_spectrum", ["spectrum"], id="spectrum"),
+        pytest.param(analysis, "find_minimum", ["minimum"], id="minimum"),
+        pytest.param(hyperpoly, "evaluate", ["eigenfunction", "-n", "1", "--grid-points", "100"],
+                     id="eigenfunction"),
+        pytest.param(hyperpoly, "evaluate", ["figure", "--grid-points", "100"], id="figure"),
+        pytest.param(validate, "run_validation", ["validate", "--grid-points", "100"],
+                     id="validate"),
+    ],
+)
+def test_range_and_grid_errors_exit_2_from_every_command(
+    runner, monkeypatch, module, target, args, error, prefix
+):
+    def fail(*_args, **_kwargs):
+        raise error("stub reason")
+
+    monkeypatch.setattr(module, target, fail)
+    result = runner.invoke(main, [*args, "--B", "7", "--p", "1/2"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    assert result.stderr == f"{prefix}stub reason\n"

@@ -109,8 +109,8 @@ def test_probe_is_recorded(deep_report):
     assert exp_x0 > 1.0
 
 
-def test_perturbation_is_detected():
-    report = run_validation(make_params("3/5", "1/2"), perturb=0.1)
+def test_perturbation_is_detected(perturbed_oracle):
+    report = run_validation(make_params("3/5", "1/2"))
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert "spectrum-vs-oracle" in failed
