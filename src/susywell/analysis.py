@@ -76,13 +76,16 @@ def find_minimum(params: ModelParams) -> MinimumReport:
     """Bracket the sign change of V' by geometric scan, then bisect.
 
     The first-order condition is driven to |V'| <= 1e-10 * p * (2B+3p)^2.
-    Raises Float64RangeError if no bracket exists because V' overflows
-    float64 on the scan, RuntimeError if no bracket exists otherwise (which
-    would contradict the admissibility assumption 0 < p < B).
+    Raises Float64RangeError if that tolerance underflows float64 to 0 or
+    no bracket exists because V' overflows float64 on the scan,
+    RuntimeError if no bracket exists otherwise (which would contradict the
+    admissibility assumption 0 < p < B).
     """
     p = float(params.p)
     scale = p * float((params.A - params.B) ** 2)
     tol = 1e-10 * scale
+    if tol == 0.0:
+        raise Float64RangeError("V' underflows float64 on the minimum scan")
     xs = np.geomspace(1e-3 / p, 50.0 / p, _SCAN_POINTS)
     with np.errstate(over="ignore", invalid="ignore"):
         dv = potential_derivative(xs, params)

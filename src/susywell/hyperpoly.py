@@ -25,8 +25,6 @@ from .spectrum import max_bound_states
 # float64 entries in sample_forms' exponential table; it is built a block of
 # points at a time, so it never holds (2K_max + 1) x N floats
 _TABLE_ENTRIES = 2**19
-# a Mersenne prime: gcd(Q, Q') modulo it proves most Q square-free cheaply
-_PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -299,8 +297,8 @@ def node_counts(forms) -> list["int | None"]:
     in c > 1: the positive roots of the integer polynomial
     Q(y) = den * P(1 + y).  They are isolated in Python ints by Descartes'
     rule of signs with bisection (Vincent; Collins and Akritas 1976).  The
-    count is None where Q is not square-free: a repeated root is no sign
-    change, and bisection would never separate it.
+    count is None where Q has a repeated root y > 0: a repeated root is no
+    sign change, and bisection would never separate it.
     """
     shifted = _shifted_chebyshev(max(form.top_index for form in forms))
     counts = []
@@ -350,44 +348,28 @@ def _drop_twos(q) -> list[int]:
     return [c >> z for c in q]
 
 
-def _gcd_degree(a, b, inverse, reduce) -> int:
-    """Degree of gcd(a, b) by Euclid's algorithm in the field whose
-    elements `reduce` normalizes and `inverse` inverts."""
-    a, b = [reduce(c) for c in a], [reduce(c) for c in b]
-    while any(b):
-        while not b[-1]:
-            b.pop()
-        inv = inverse(b[-1])
-        for top in range(len(a) - 1, len(b) - 2, -1):
-            f = reduce(a[top] * inv)
-            for i, c in enumerate(b, start=top - len(b) + 1):
-                a[i] = reduce(a[i] - f * c)
-        a, b = b, a[:len(b) - 1]
-    return len(a) - 1
-
-
-def _square_free(q) -> bool:
-    """Whether gcd(q, q') is constant: first modulo _PRIME, where degree 0
-    is a proof when the prime does not divide the top coefficient, then
-    exactly in Fractions."""
-    dq = [i * c for i, c in enumerate(q)][1:]
-    if q[-1] % _PRIME and _gcd_degree(q, dq, lambda c: pow(c, -1, _PRIME),
-                                      lambda c: c % _PRIME) == 0:
-        return True
-    return _gcd_degree(q, dq, lambda c: 1 / Fraction(c), Fraction) == 0
-
-
 def _positive_roots(q) -> "int | None":
     """Number of distinct roots y > 0 of the integer polynomial q, or None
-    when q is not square-free."""
+    when one of them is repeated.
+
+    Bisection stops at a depth cap computed from q.  Distinct roots of an
+    integer polynomial of degree d are more than
+    sqrt(3) d^(-(d+2)/2) ||q||_2^(1-d) apart (Mahler 1964, for the
+    square-free part).  An interval of width w shows at most one sign
+    change when no two roots, counted with multiplicity, lie within
+    sqrt(3) w of each other (the two-circle theorem; Alesina and Galuzzi
+    1998, Krandick and Mehlhorn 2006).  With ||q||_2 < 2^bits and
+    z = y/2^m, intervals at depth cap are narrower than that, so one that
+    still shows two sign changes holds a repeated root, real (a conjugate
+    pair would be two roots) and positive (every root is beyond 2^-bits
+    of 0).  A square-free q never reaches the cap.
+    """
     while not q[0]:
         q = q[1:]  # a root at y = 0 is the origin, not a node
     d = len(q) - 1
     changes = _sign_changes(q)
     if changes <= 1:  # Descartes: 0 or 1 positive roots, exactly
         return changes
-    if not _square_free(q):
-        return None
     # every positive root lies below 2^m (Kioustelidis' bound); y = 2^m z
     # maps them into 0 < z < 1
     top = abs(q[-1]).bit_length()
@@ -395,20 +377,26 @@ def _positive_roots(q) -> "int | None":
     for i, c in enumerate(q[:-1]):
         if c and (c > 0) != (q[-1] > 0):
             m = max(m, -((top - 1 - abs(c).bit_length()) // (d - i)) + 1)
+    bits = max(abs(c).bit_length() for c in q) + (d + 1).bit_length()
+    cap = m + 2 + (d + 2) * d.bit_length() // 2 + (d - 1) * bits
     count = 0
-    pending = [_drop_twos([c << (m * i) for i, c in enumerate(q)])]
+    pending = [(_drop_twos([c << (m * i) for i, c in enumerate(q)]), 0)]
     while pending:
-        q = pending.pop()
+        q, depth = pending.pop()
         d = len(q) - 1
         # sign changes of (z+1)^d q(1/(z+1)) bound the roots in (0, 1)
         bound = _sign_changes(_taylor_shift(q[::-1]))
         if bound <= 1:
             count += bound
             continue
+        if depth == cap:  # a repeated root, by the docstring's bound
+            return None
         left = _drop_twos([c << (d - i) for i, c in enumerate(q)])  # 2^d q(z/2)
         right = _taylor_shift(left)  # 2^d q((z+1)/2)
         if not right[0]:  # a root at z = 1/2
+            if not right[1]:  # a repeated one
+                return None
             count += 1
             right = right[1:]
-        pending += (left, right)
+        pending += ((left, depth + 1), (right, depth + 1))
     return count

@@ -45,7 +45,6 @@ class ModelParams:
 class LadderParams:
     """Rung k of the parameter sequence: (A_k, B_k) = (A_0 - 3kp, B_0 + kp)."""
 
-    k: int
     A: Fraction
     B: Fraction
 
@@ -92,7 +91,7 @@ def ladder(params: ModelParams, k: int) -> LadderParams:
     if k < 0:
         raise ValueError("rung index k must be nonnegative")
     kp = k * params.p
-    return LadderParams(k=k, A=params.A - 3 * kp, B=params.B + kp)
+    return LadderParams(A=params.A - 3 * kp, B=params.B + kp)
 
 
 def ladder_offset(rung: LadderParams) -> Fraction:

@@ -52,6 +52,12 @@ def test_minimum_scaling_law():
     rep2 = find_minimum(make_params(14, 1))
     assert rep2.x0 == pytest.approx(rep1.x0 / 2.0, rel=1e-8)
     assert rep2.v_min == pytest.approx(4.0 * rep1.v_min, rel=1e-10)
+    # the same law down to the smallest couplings whose V' tolerance is
+    # still a nonzero float64
+    rep3 = find_minimum(make_params(10, 1))
+    rep4 = find_minimum(make_params(1e-104, 1e-105))
+    assert rep4.x0 == pytest.approx(rep3.x0 * 1e105, rel=1e-8)
+    assert rep4.v_min == pytest.approx(rep3.v_min * 1e-210, rel=1e-10)
 
 
 def test_polynomial_palindrome_coefficients():

@@ -72,7 +72,9 @@ def test_couplings_outside_float64_are_parameter_errors(runner, command, couplin
       "exact form with top index 6 overflow float64"),
      (["validate", "--B", "1e150", "--p", "1e149"],  # psi_1'' already overflows
       "exact form with top index 2 overflow float64"),
-     (["minimum", "--B", "1e150", "--p", "1e149"], "V' overflows float64")],
+     (["minimum", "--B", "1e150", "--p", "1e149"], "V' overflows float64"),
+     (["minimum", "--B", "1e-110", "--p", "1e-111"], "V' underflows float64"),
+     (["minimum", "--B", "1e-300", "--p", "1e-301"], "V' underflows float64")],
 )
 def test_capped_wells_fail_before_any_work(runner, args, message):
     start = time.perf_counter()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from susywell import hyperpoly
 from susywell.cli import main
 from susywell.hyperpoly import (
     HyperbolicForm,
@@ -150,10 +149,10 @@ def test_eigenfunction_index_error_beyond_cutoff():
 
 
 def test_regularity_guard_on_soft_tau():
-    form = ground_form(LadderParams(k=0, A=Fraction(3), B=Fraction(1, 2)), Fraction(1, 2))
+    form = ground_form(LadderParams(A=Fraction(3), B=Fraction(1, 2)), Fraction(1, 2))
     assert form.tau == 1
     with pytest.raises(ValueError, match="regularity"):
-        apply_creation(form, LadderParams(k=0, A=Fraction(3), B=Fraction(1, 2)))
+        apply_creation(form, LadderParams(A=Fraction(3), B=Fraction(1, 2)))
 
 
 def test_decay_exponents():
@@ -278,11 +277,48 @@ def test_node_counts_report_a_repeated_root():
         for k, ak in enumerate(a):  # T_j T_k = (T_{j+k} + T_{|j-k|}) / 2
             product[j + k] += aj * ak / 2
             product[abs(j - k)] += aj * ak / 2
-    # (c - 2)(c - 3) = T_2/2 - 5 T_1 + 13/2, times the modulus of the quick
-    # square-free test, so the exact test alone decides
-    simple = _form([Fraction(13, 2) * hyperpoly._PRIME, -5 * hyperpoly._PRIME,
-                    Fraction(1, 2) * hyperpoly._PRIME])
+    # (c - 2)(c - 3) = T_2/2 - 5 T_1 + 13/2 times the prime 2^61 - 1: a large
+    # common factor of the coefficients moves no root
+    simple = _form([Fraction(13, 2) * (2**61 - 1), -5 * (2**61 - 1),
+                    Fraction(1, 2) * (2**61 - 1)])
     assert node_counts([squared, _form(product), simple]) == [None, None, 2]
+
+
+def _from_roots(roots):
+    """The form whose series is prod (c - r) in c = cosh(2px), in the T_k basis."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        out = [Fraction(0)] * (len(coeffs) + 1)
+        for k, a in enumerate(coeffs):  # c T_k = (T_{k+1} + T_{|k-1|}) / 2
+            out[k + 1] += a / 2
+            out[abs(k - 1)] += a / 2
+            out[k] -= r * a
+        coeffs = out
+    return _form(coeffs)
+
+
+def test_node_counts_separate_roots_far_below_float64_spacing():
+    # distinct, non-dyadic roots 2^-200 apart: the bisection depth cap never
+    # cuts off two distinct roots
+    near = Fraction(10, 7)
+    assert node_counts([_from_roots([near, near + Fraction(1, 3 * 2**200), 3])]) == [3]
+
+
+def test_node_counts_ignore_repeated_roots_off_the_half_line():
+    # double roots at c = -1 and c = 1/2 lie below c = 1, so off x > 0;
+    # only the simple roots c = 2 and c = 5 are nodes
+    forms = [_from_roots([-1, -1, 2, 5]), _from_roots([Fraction(1, 2), Fraction(1, 2), 2, 5])]
+    assert node_counts(forms) == [2, 2]
+
+
+def test_node_counts_finish_where_coefficients_carry_a_large_prime():
+    # B = (2^61 - 1)/2^40 and B/p = 60: from n = 1 on, the top series
+    # coefficient of each form is a multiple of the prime 2^61 - 1
+    B = Fraction(2**61 - 1, 2**40)
+    params = make_params(B, B / 60)
+    assert max_bound_states(params) == 30
+    forms = [eigenfunction(n, params) for n in range(31)]
+    assert node_counts(forms) == list(range(31))
 
 
 @pytest.mark.parametrize("b, p", [(7, "1/2"), (10, "1/4")])

@@ -98,7 +98,7 @@ def test_ladder_offset_values():
 def test_ladder_offset_zero_at_symmetry_point():
     from susywell.params import LadderParams
 
-    assert ladder_offset(LadderParams(k=0, A=Fraction(5), B=Fraction(5))) == 0
+    assert ladder_offset(LadderParams(A=Fraction(5), B=Fraction(5))) == 0
 
 
 def test_shift_constant_reference():
