@@ -9,6 +9,7 @@ Float64RangeError or GridError raised by any command to one line and exit 2.
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import math
 import os
@@ -27,6 +28,9 @@ from .spectrum import full_spectrum, max_bound_states, state_decay_rate
 EXIT_VALIDATION_FAILURE = 1
 EXIT_BAD_PARAMETERS = 2
 EXIT_INDEX_OUT_OF_RANGE = 3
+# most float64 samples that one sample_forms call in `figure` returns (32 MB):
+# a fine grid does not hold every state's samples at once
+_FIGURE_SAMPLES = 2**22
 
 
 def sig12(x: float) -> float:
@@ -306,12 +310,18 @@ def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
     v = potential_closed_form(xs, params)
     spans = []
     threshold = 0.02
-    for n in range(n_max + 1):
-        vals = np.abs(hyperpoly.evaluate(hyperpoly.eigenfunction(n, params), xs))
-        # empty, so no line, when no sample clears the threshold: every
-        # sample underflowed to 0, or the largest one is not finite
-        idx = np.flatnonzero(vals > threshold * float(np.max(vals)))
-        spans.append(range(idx[0], idx[-1] + 1) if idx.size else range(0))
+    # the forms are built as sample_forms draws them, so one that overflows
+    # float64 exits 2 before any later one is built; each call holds at most
+    # _FIGURE_SAMPLES values
+    forms = (hyperpoly.eigenfunction(n, params) for n in range(n_max + 1))
+    per_call = max(1, _FIGURE_SAMPLES // xs.size)
+    for _ in range(0, n_max + 1, per_call):
+        for vals in hyperpoly.sample_forms(itertools.islice(forms, per_call), xs):
+            vals = np.abs(vals)
+            # empty, so no line, when no sample clears the threshold: every
+            # sample underflowed to 0, or the largest one is not finite
+            idx = np.flatnonzero(vals > threshold * float(np.max(vals)))
+            spans.append(range(idx[0], idx[-1] + 1) if idx.size else range(0))
     if fmt == "csv":
         header = "x,V," + ",".join(f"E{n}" for n in range(n_max + 1)) + ",asymptote"
         rows = len(xs)

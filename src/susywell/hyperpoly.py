@@ -3,11 +3,12 @@
 Every state in this family is cosh(3px)^sigma * sinh(px)^tau * P(x) with P
 a finite series sum_k a_k cosh(2kpx).  Applying the creation operator
 (-d/dx + W) maps the family to itself: the exponents drop by one and the
-series picks up two more terms.  Coefficients are exact Fractions all the
-way through; numeric evaluation factors out the dominant exponential so
-values, ratios and residuals stay computable where the raw numbers would
-under- or overflow.  Evaluators take numpy arrays of x > 0 and return
-arrays; a scalar x is read as a 0-d array.
+series picks up two more terms.  Coefficients are exact Fractions at every
+interface; inside one creation step they are integer numerators over one
+common denominator.  Numeric evaluation factors out the dominant
+exponential so values, ratios and residuals stay computable where the raw
+numbers would under- or overflow.  Evaluators take numpy arrays of x > 0
+and return arrays; a scalar x is read as a 0-d array.
 """
 
 from __future__ import annotations
@@ -53,12 +54,6 @@ class HyperbolicForm:
         return len(self.coeffs) - 1
 
 
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def ground_form(rung: LadderParams, p) -> HyperbolicForm:
     """exp(-integral W) at the given rung: sigma = -A_k/(3p), tau = B_k/p.
 
@@ -85,7 +80,9 @@ def apply_creation(form: HyperbolicForm, target: LadderParams) -> HyperbolicForm
           -                cosh(3px)sinh(px) P'
 
     folded back onto the cosh(2kpx) basis by product-to-sum identities.
-    The series grows by exactly two coefficients per application.
+    The series grows by exactly two coefficients per application.  Exact:
+    the sums run on integer numerators over one common denominator, and
+    each output coefficient is one reduced Fraction.
     """
     p = form.p
     u = target.A - 3 * p * form.sigma
@@ -95,14 +92,20 @@ def apply_creation(form: HyperbolicForm, target: LadderParams) -> HyperbolicForm
             "creation operator would break regularity at the origin "
             "(tau - 1 <= 0); the form is already past the physical ladder"
         )
-    # each product-to-sum image carries a factor 1/4
+    # each product-to-sum image carries a factor 1/4; alpha, beta and p/2
+    # go over the denominator `step`, the coefficients over `den`
     alpha = (u - v) / 4
     beta = -(u + v) / 4
     half_p = p / 2
-    out = [Fraction(0)] * (len(form.coeffs) + 2)
+    step = math.lcm(alpha.denominator, beta.denominator, half_p.denominator)
+    alpha, beta, half_p = (f.numerator * (step // f.denominator)
+                           for f in (alpha, beta, half_p))
+    den = math.lcm(*(a.denominator for a in form.coeffs))
+    out = [0] * (len(form.coeffs) + 2)
     for k, a in enumerate(form.coeffs):
         if a == 0:
             continue
+        a = a.numerator * (den // a.denominator)
         aa = alpha * a
         ba = beta * a
         g = k * half_p * a  # a quarter of 2kp a_k, from P' = sum 2kp a_k sinh(2kpx)
@@ -110,9 +113,12 @@ def apply_creation(form: HyperbolicForm, target: LadderParams) -> HyperbolicForm
         out[abs(k - 2)] += aa + g
         out[k + 1] += ba + g
         out[abs(k - 1)] += ba - g
-    coeffs = _trim(out)
-    if coeffs == (Fraction(0),):
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    if out == [0]:
         raise ValueError("creation operator annihilated the form")
+    den *= step
+    coeffs = tuple(Fraction(c, den) for c in out)
     return HyperbolicForm(sigma=form.sigma - 1, tau=form.tau - 1, p=p, coeffs=coeffs)
 
 
@@ -244,28 +250,31 @@ def sample_forms(forms, x) -> list[np.ndarray]:
     """The values of forms that share p at the points x (1-d), one array
     per form, bit for bit as `evaluate` gives them.
 
-    exp(-2ju) for j = 0..2K_max is computed once for all forms instead of
-    twice per coefficient per form, a block of points at a time, so the
-    table holds at most _TABLE_ENTRIES floats.
+    `forms` may be an iterator: each form is tested against float64 as
+    `evaluate` tests it when it is drawn, so a Float64RangeError comes
+    before any later form is built.  exp(-2ju) for j = 0..2K_max is
+    computed once for all forms instead of twice per coefficient per form,
+    a block of points at a time, so the table holds at most
+    _TABLE_ENTRIES floats.
     """
-    if len({form.p for form in forms}) != 1:
+    terms = [(form, _float_terms(form, 0)) for form in forms]
+    if len({form.p for form, _ in terms}) != 1:
         raise ValueError("sample_forms needs a nonempty list of forms with one p")
-    u = float(forms[0].p) * _positive_x(x)
-    rows = [_float_terms(form, 0) for form in forms]
-    width = 2 * max(form.top_index for form in forms) + 1
+    u = float(terms[0][0].p) * _positive_x(x)
+    width = 2 * max(form.top_index for form, _ in terms) + 1
     block = max(1, _TABLE_ENTRIES // width)
     table = np.empty((width, min(block, u.size)))
-    values = [np.zeros_like(u) for _ in forms]
+    values = [np.zeros_like(u) for _ in terms]
     for start in range(0, u.size, block):
         ub = u[start:start + block]
         tb = table[:, :ub.size]
         for j in range(width):
             np.exp(-2.0 * j * ub, out=tb[j])
-        for form, r, v in zip(forms, rows, values):
-            _sum_series(r, form.top_index, tb.__getitem__, [v[start:start + block]])
+        for (form, rows), v in zip(terms, values):
+            _sum_series(rows, form.top_index, tb.__getitem__, [v[start:start + block]])
     log_cosh_3u, log_sinh_u = log_cosh(3.0 * u), log_sinh(u)
     with np.errstate(over="ignore"):
-        for form, v in zip(forms, values):
+        for (form, _), v in zip(terms, values):
             v *= np.exp(_log_scale(form, u, log_cosh_3u, log_sinh_u))
     return values
 

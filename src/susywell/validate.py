@@ -8,6 +8,7 @@ is deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -199,7 +200,11 @@ def _check_residuals(well: _Well) -> CheckResult:
     for (n, e), form in zip(well.spec.levels, well.forms):
         psi, _, d2 = hyperpoly.evaluate_derivatives(form, xs)
         r = -d2 + (v - float(e)) * psi
-        rel = float(oracle.norm2(r) / oracle.norm2(scale * psi))
+        scaled = scale * psi
+        # both by the same power of two, exactly, so that neither sum of
+        # squares overflows where psi is finite
+        shift = -math.frexp(float(np.max(np.abs(scaled))))[1]
+        rel = float(oracle.norm2(np.ldexp(r, shift)) / oracle.norm2(np.ldexp(scaled, shift)))
         if rel > worst:
             worst, worst_n = rel, n
     return CheckResult(

@@ -3,12 +3,14 @@ import math
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from susywell import analysis, cli, hyperpoly, oracle, validate
 from susywell.cli import main
-from susywell.params import Float64RangeError
+from susywell.params import Float64RangeError, make_params
+from susywell.spectrum import max_bound_states
 
 
 @pytest.fixture()
@@ -230,6 +232,44 @@ def test_figure_json_spans(runner):
         assert lv["x_start"] < lv["x_end"]
 
 
+@pytest.mark.parametrize("per_call", [None, 3])
+def test_figure_spans_match_per_form_evaluate_on_a_deep_well(runner, monkeypatch, per_call):
+    if per_call:  # sample the forms three at a time
+        monkeypatch.setattr(cli, "_FIGURE_SAMPLES", per_call * 400)
+    params = make_params("1261/64", "1/4")
+    n_max = max_bound_states(params)
+    assert n_max == 40
+    result = runner.invoke(main, ["figure", "--B", "1261/64", "--p", "1/4",
+                                  "--grid-points", "400"])
+    assert result.exit_code == 0
+    xs = oracle.default_grid(params, 400).points()
+    expect = []
+    for n in range(n_max + 1):
+        vals = np.abs(hyperpoly.evaluate(hyperpoly.eigenfunction(n, params), xs))
+        idx = np.flatnonzero(vals > 0.02 * float(np.max(vals)))
+        expect.append((cli.sig12(xs[idx[0]]), cli.sig12(xs[idx[-1]])))
+    levels = json.loads(result.output)["levels"]
+    assert [(lv["x_start"], lv["x_end"]) for lv in levels] == expect
+
+
+def test_figure_builds_no_form_past_the_first_that_overflows(runner, monkeypatch):
+    built = []
+    eigenfunction = hyperpoly.eigenfunction
+
+    def counting(n, params):
+        built.append(n)
+        return eigenfunction(n, params)
+
+    monkeypatch.setattr(hyperpoly, "eigenfunction", counting)
+    # n_max = 5; form 3 is the first whose coefficients overflow float64
+    result = runner.invoke(main, ["figure", "--B", "1e150", "--p", "1e149",
+                                  "--grid-points", "100"])
+    assert result.exit_code == 2
+    assert result.stderr == ("invalid parameters: coefficients of the exact form with "
+                             "top index 6 overflow float64\n")
+    assert built == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_figure_levels_without_resolvable_samples(runner, fmt):
     # every state underflows to 0 this close to the origin: no level lines
@@ -400,7 +440,7 @@ def test_bad_grid_is_a_parameter_error(runner, args):
         pytest.param(analysis, "find_minimum", ["minimum"], id="minimum"),
         pytest.param(hyperpoly, "evaluate", ["eigenfunction", "-n", "1", "--grid-points", "100"],
                      id="eigenfunction"),
-        pytest.param(hyperpoly, "evaluate", ["figure", "--grid-points", "100"], id="figure"),
+        pytest.param(hyperpoly, "sample_forms", ["figure", "--grid-points", "100"], id="figure"),
         pytest.param(validate, "run_validation", ["validate", "--grid-points", "100"],
                      id="validate"),
     ],

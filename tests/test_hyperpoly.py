@@ -105,15 +105,28 @@ def _creation_four_term(form, target):
     return tuple(out)
 
 
-@pytest.mark.parametrize("b, p", [(7, "1/2"), ("51/16", "1/3"), (10, "1/4")])
+# (1261/64, 1/4): n_max = 40, and coefficient denominators up to 2^k
+@pytest.mark.parametrize("b, p", [(7, "1/2"), ("51/16", "1/3"), (10, "1/4"), ("1261/64", "1/4")])
 def test_apply_creation_matches_four_term_formula(b, p):
     params = make_params(b, p)
-    for n in range(13):  # past n_max too: the recursion has no cutoff
+    # past n_max on the shallow wells: the recursion has no cutoff
+    for n in range(max(13, max_bound_states(params) + 1)):
         form = ground_form(ladder(params, n), params.p)
         for k in range(n - 1, -1, -1):
             expect = _creation_four_term(form, ladder(params, k))
             form = apply_creation(form, ladder(params, k))
             assert form.coeffs == expect
+
+
+@pytest.mark.parametrize("b, p, n_max", [("158/3", "2/3", 40), ("1111/16", 1, 35)])
+def test_candidate_form_matches_four_term_recursion_on_deep_wells(b, p, n_max):
+    params = make_params(b, p)
+    assert max_bound_states(params) == n_max
+    form = ground_form(ladder(params, n_max), params.p)
+    for k in range(n_max - 1, -1, -1):
+        coeffs = _creation_four_term(form, ladder(params, k))
+        form = HyperbolicForm(form.sigma - 1, form.tau - 1, form.p, coeffs)
+    assert candidate_form(n_max, params) == form
 
 
 def test_eigenfunction_low_indices():

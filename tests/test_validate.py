@@ -137,6 +137,27 @@ def test_node_count_passes_on_deep_wells(b, p):
     assert check.passed and check.detail == "every form has exactly n interior zeros"
 
 
+def test_residuals_measure_every_state_where_the_sums_of_squares_overflow(monkeypatch):
+    # B/p = 60: from n = 27 on, psi is finite (up to 3.6e166) but the sums
+    # of squares of the residual and of scale * psi overflow float64
+    B = Fraction(2**61 - 1, 2**40)
+    params = make_params(B, B / 60)
+    forms = [hyperpoly.eigenfunction(n, params) for n in range(31)]
+    norms = []
+    norm2 = oracle.norm2
+
+    def recording(v):
+        norms.append(norm2(v))
+        return norms[-1]
+
+    monkeypatch.setattr(oracle, "norm2", recording)
+    check = validate._check_residuals(
+        SimpleNamespace(params=params, spec=full_spectrum(params), forms=forms))
+    assert len(norms) == 2 * 31
+    assert all(0.0 < norm < np.inf for norm in norms)
+    assert check.detail == "max relative H-residual 2.203e-01 at n=22 (tolerance 1e-06)"
+
+
 def test_node_count_fails_on_an_extra_root():
     params = make_params(7, 0.5)
     forms = [hyperpoly.eigenfunction(n, params) for n in range(8)]
