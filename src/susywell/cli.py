@@ -231,7 +231,7 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
     if fmt == "csv":
         lines = [
             f"# n={state_index} sigma={form.sigma} tau={form.tau} p={form.p}",
-            "# coeffs=" + ";".join(str(c) for c in form.coeffs),
+            "# coeffs=" + ";".join(str(Fraction(c, form.den)) for c in form.coeffs),
             "x,psi",
         ]
         lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
@@ -245,7 +245,7 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
                 "sigma": _pair(form.sigma),
                 "tau": _pair(form.tau),
                 "p": _pair(form.p),
-                "coeffs": [_pair(c) for c in form.coeffs],
+                "coeffs": [_pair(Fraction(c, form.den)) for c in form.coeffs],
             },
             "decay_exponent": sig12(hyperpoly.decay_exponent(form)),
             "samples": [

@@ -3,11 +3,10 @@
 Every state in this family is cosh(3px)^sigma * sinh(px)^tau * P(x) with P
 a finite series sum_k a_k cosh(2kpx).  Applying the creation operator
 (-d/dx + W) maps the family to itself: the exponents drop by one and the
-series picks up two more terms.  Coefficients are exact Fractions at every
-interface; inside one creation step they are integer numerators over one
-common denominator.  Numeric evaluation factors out the dominant
-exponential so values, ratios and residuals stay computable where the raw
-numbers would under- or overflow.  Evaluators take numpy arrays of x > 0
+series picks up two more terms.  Coefficients are exact: integer numerators
+over one positive denominator per form.  Numeric evaluation factors out the
+dominant exponential so values, ratios and residuals stay computable where
+the raw numbers would under- or overflow.  Evaluators take numpy arrays of x > 0
 and return arrays; a scalar x is read as a 0-d array.
 """
 
@@ -30,16 +29,18 @@ _TABLE_ENTRIES = 2**19
 
 @dataclass(frozen=True)
 class HyperbolicForm:
-    """cosh(3px)^sigma * sinh(px)^tau * sum_k coeffs[k] cosh(2kpx).
+    """cosh(3px)^sigma * sinh(px)^tau * sum_k (coeffs[k] / den) cosh(2kpx).
 
     Invariants: tau > 0 (the form vanishes like x^tau at the origin), the
-    top coefficient is nonzero, and trailing zeros are trimmed.
+    top coefficient is nonzero, and trailing zeros are trimmed.  The integer
+    numerators share den > 0; gcd(den, *coeffs) = 1 on every form built here.
     """
 
     sigma: Fraction
     tau: Fraction
     p: Fraction
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -65,7 +66,8 @@ def ground_form(rung: LadderParams, p) -> HyperbolicForm:
         sigma=Fraction(-rung.A, 1) / (3 * p),
         tau=Fraction(rung.B, 1) / p,
         p=p,
-        coeffs=(Fraction(1),),
+        coeffs=(1,),
+        den=1,
     )
 
 
@@ -81,8 +83,8 @@ def apply_creation(form: HyperbolicForm, target: LadderParams) -> HyperbolicForm
 
     folded back onto the cosh(2kpx) basis by product-to-sum identities.
     The series grows by exactly two coefficients per application.  Exact:
-    the sums run on integer numerators over one common denominator, and
-    each output coefficient is one reduced Fraction.
+    the sums run on the integer numerators, and the output is reduced by
+    one gcd over its new denominator.
     """
     p = form.p
     u = target.A - 3 * p * form.sigma
@@ -93,19 +95,17 @@ def apply_creation(form: HyperbolicForm, target: LadderParams) -> HyperbolicForm
             "(tau - 1 <= 0); the form is already past the physical ladder"
         )
     # each product-to-sum image carries a factor 1/4; alpha, beta and p/2
-    # go over the denominator `step`, the coefficients over `den`
+    # go over the denominator `step`, the coefficients over form.den
     alpha = (u - v) / 4
     beta = -(u + v) / 4
     half_p = p / 2
     step = math.lcm(alpha.denominator, beta.denominator, half_p.denominator)
     alpha, beta, half_p = (f.numerator * (step // f.denominator)
                            for f in (alpha, beta, half_p))
-    den = math.lcm(*(a.denominator for a in form.coeffs))
     out = [0] * (len(form.coeffs) + 2)
     for k, a in enumerate(form.coeffs):
         if a == 0:
             continue
-        a = a.numerator * (den // a.denominator)
         aa = alpha * a
         ba = beta * a
         g = k * half_p * a  # a quarter of 2kp a_k, from P' = sum 2kp a_k sinh(2kpx)
@@ -117,9 +117,9 @@ def apply_creation(form: HyperbolicForm, target: LadderParams) -> HyperbolicForm
         out.pop()
     if out == [0]:
         raise ValueError("creation operator annihilated the form")
-    den *= step
-    coeffs = tuple(Fraction(c, den) for c in out)
-    return HyperbolicForm(sigma=form.sigma - 1, tau=form.tau - 1, p=p, coeffs=coeffs)
+    g = math.gcd(form.den * step, *out)
+    return HyperbolicForm(sigma=form.sigma - 1, tau=form.tau - 1, p=p,
+                          coeffs=tuple(c // g for c in out), den=form.den * step // g)
 
 
 def candidate_form(n: int, params: ModelParams) -> HyperbolicForm:
@@ -167,9 +167,9 @@ def _float_terms(form: HyperbolicForm, order: int) -> list[tuple]:
     """
     p = float(form.p)
     rows = []
-    for k, frac in enumerate(form.coeffs):
+    for k, c in enumerate(form.coeffs):
         try:
-            a = float(frac)
+            a = c / form.den
         except OverflowError:
             a = math.inf
         if a == 0.0:
@@ -304,18 +304,16 @@ def node_counts(forms) -> list["int | None"]:
     On x > 0 the prefactor is positive and cosh(2kpx) = T_k(c) with
     c = cosh(2px) > 1, so the zeros are the roots of P(c) = sum a_k T_k(c)
     in c > 1: the positive roots of the integer polynomial
-    Q(y) = den * P(1 + y).  They are isolated in Python ints by Descartes'
-    rule of signs with bisection (Vincent; Collins and Akritas 1976).  The
-    count is None where Q has a repeated root y > 0: a repeated root is no
-    sign change, and bisection would never separate it.
+    Q(y) = den * P(1 + y) = sum_k coeffs[k] T_k(1 + y), isolated in Python
+    ints by Descartes' rule of signs with bisection (Vincent; Collins and
+    Akritas 1976).  The count is None where Q has a repeated root y > 0: a
+    repeated root is no sign change, and bisection would never separate it.
     """
     shifted = _shifted_chebyshev(max(form.top_index for form in forms))
     counts = []
     for form in forms:
-        den = math.lcm(*(a.denominator for a in form.coeffs))
         q = [0] * len(form.coeffs)
         for a, t in zip(form.coeffs, shifted):
-            a = a.numerator * (den // a.denominator)
             for i, c in enumerate(t):
                 q[i] += a * c
         counts.append(_positive_roots(q))

@@ -62,6 +62,9 @@ class _Well:
     numeric: list[float]  # the n_max + 4 lowest levels of H
     forms: list[hyperpoly.HyperbolicForm]  # the exact forms n = 0..n_max
     psi01: tuple[np.ndarray, np.ndarray]  # forms 0 and 1 sampled on H.grid
+    # H.grid points at x >= 0.2/p, where the stencil norms are taken: the
+    # x^tau cusp at the origin is outside its accuracy range for soft exponents
+    bulk: np.ndarray
     extras: dict
 
 
@@ -125,7 +128,8 @@ def _check_first_excited(well: _Well) -> CheckResult:
     return CheckResult(
         "first-excited-coefficients",
         ok,
-        f"coefficients {tuple(str(g) for g in got)} vs proportional (0, {-2 * c}, {c})",
+        f"coefficients {tuple(str(Fraction(g, well.forms[1].den)) for g in got)} "
+        f"vs proportional (0, {-2 * c}, {c})",
     )
 
 
@@ -243,12 +247,9 @@ def _check_orthogonality(well: _Well) -> CheckResult:
 
 
 def _check_annihilation(well: _Well) -> CheckResult:
-    # norms exclude x < 0.2/p: the x^tau cusp at the origin is outside the
-    # derivative stencil's accuracy range for soft exponents
-    keep = well.H.grid.points() >= 0.2 / float(well.params.p)
     psi0 = well.psi01[0]
     out = oracle.apply_ladder_numeric(well.params, 0, "annihilation", psi0, well.H.grid)
-    ratio = float(oracle.norm2(out[keep]) / oracle.norm2(psi0[keep]))
+    ratio = float(oracle.norm2(out[well.bulk]) / oracle.norm2(psi0[well.bulk]))
     return CheckResult(
         "annihilation",
         ratio <= ANNIHILATION_TOL,
@@ -270,7 +271,7 @@ def _check_intertwining(well: _Well) -> CheckResult:
     # norm over the smooth bulk: near the origin the stencil error has
     # grid-scale structure the Laplacian amplifies by 1/h^2, and the end
     # rows, which the stencil does not reach, are dropped
-    keep = xs >= 0.2 / float(params.p)
+    keep = well.bulk.copy()
     keep[:2] = False
     keep[-2:] = False
     rel = float(oracle.norm2(r[keep]) / oracle.norm2(e1 * down[keep]))
@@ -348,7 +349,8 @@ def run_validation(
     params: ModelParams, grid: "oracle.RadialGrid | None" = None
 ) -> ValidationReport:
     """Run every check; deterministic, all tolerances fixed here.  grid=None
-    means oracle.default_grid(params); GridError when it is too coarse,
+    means oracle.default_grid(params); GridError when it is too coarse or
+    psi_0 or psi_1 has no finite nonzero norm at x >= 0.2/p on it,
     Float64RangeError when the exact forms do not fit float64."""
     grid = oracle.default_grid(params) if grid is None else grid
     n_max = max_bound_states(params)
@@ -362,13 +364,23 @@ def run_validation(
     hyperpoly.check_float64(forms)  # the checks evaluate psi, psi' and psi''
     H = oracle.build_hamiltonian(params, grid)
     xs = grid.points()
+    psi01 = (hyperpoly.evaluate(forms[0], xs), hyperpoly.evaluate(forms[1], xs))
+    bulk = xs >= 0.2 / float(params.p)
+    for n, psi in enumerate(psi01):
+        norm = oracle.norm2(psi[bulk])
+        if not 0.0 < norm < math.inf:
+            raise oracle.GridError(
+                f"state {n} cannot be normalized on it (sampled norm {norm} at x >= 0.2/p: "
+                "the samples underflow to 0 or overflow float64, or none lie there)"
+            )
     well = _Well(
         params=params,
         spec=full_spectrum(params),
         H=H,
         numeric=oracle.lowest_eigenvalues(H, m),
         forms=forms,
-        psi01=(hyperpoly.evaluate(forms[0], xs), hyperpoly.evaluate(forms[1], xs)),
+        psi01=psi01,
+        bulk=bulk,
         extras={},
     )
     return ValidationReport(checks=[check(well) for check in _CHECKS], extras=well.extras)

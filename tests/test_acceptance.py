@@ -118,7 +118,8 @@ def test_criterion_3_first_excited_exact_coefficients():
     assert _report(
         3, ok,
         f"coefficients proportional to (0, -2(2B+p), (2B+p)) for {len(cases)} "
-        f"rational parameter sets; at (7, 1/2): {tuple(str(c) for c in ref.coeffs)}",
+        f"rational parameter sets; at (7, 1/2): "
+        f"{tuple(str(Fraction(c, ref.den)) for c in ref.coeffs)}",
     )
 
 

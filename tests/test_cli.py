@@ -417,6 +417,10 @@ def test_unwritable_out_is_rejected_before_any_work(runner, tmp_path, monkeypatc
          "--x-min", "1e-300", "--x-max", "1e-299"],
         ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "0", "--grid-points", "100",
          "--x-min", "2000", "--x-max", "3000"],
+        # psi_0 underflows to 0 at every point; no point lies at x >= 0.2/p
+        ["validate", "--B", "7", "--p", "1/2", "--x-max", "1e6", "--grid-points", "200"],
+        ["validate", "--B", "7", "--p", "1/2", "--x-min", "1e-3", "--x-max", "0.3",
+         "--grid-points", "200"],
     ],
 )
 def test_bad_grid_is_a_parameter_error(runner, args):

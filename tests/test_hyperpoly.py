@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +32,7 @@ PR = make_params(7, 0.5)
 
 def test_ground_form_reference_exponents():
     f0 = ground_form(ladder(PR, 0), PR.p)
-    assert (f0.sigma, f0.tau, f0.coeffs) == (-15, 14, (Fraction(1),))
+    assert (f0.sigma, f0.tau, f0.coeffs, f0.den) == (-15, 14, (1,), 1)
     f1 = ground_form(ladder(PR, 1), PR.p)
     assert (f1.sigma, f1.tau) == (-14, 15)
 
@@ -45,7 +47,7 @@ def test_ground_form_positive_everywhere():
 def test_first_excited_exact_coefficients():
     form = apply_creation(ground_form(ladder(PR, 1), PR.p), ladder(PR, 0))
     assert form.sigma == -15 and form.tau == 14
-    assert form.coeffs == (0, Fraction(-29), Fraction(29, 2))
+    assert (form.coeffs, form.den) == ((0, -58, 29), 2)  # (0, -29, 29/2)
 
 
 def test_first_excited_proportionality_for_random_rationals():
@@ -88,13 +90,19 @@ def test_apply_creation_matches_numeric_operator():
         assert np.max(np.abs(numeric - exact)) / scale < 1e-8
 
 
-def _creation_four_term(form, target):
-    """apply_creation's coefficients by the plain four-term formula."""
+def _fractions(form):
+    """The series coefficients of `form`, each a reduced Fraction."""
+    return tuple(Fraction(c, form.den) for c in form.coeffs)
+
+
+def _creation_four_term(form, target, coeffs):
+    """apply_creation's coefficients, as Fractions, by the plain four-term
+    formula applied to the series `coeffs` under the exponents of `form`."""
     p = form.p
     u = target.A - 3 * p * form.sigma
     v = target.B + p * form.tau
-    out = [Fraction(0)] * (len(form.coeffs) + 2)
-    for k, a in enumerate(form.coeffs):
+    out = [Fraction(0)] * (len(coeffs) + 2)
+    for k, a in enumerate(coeffs):
         ua, va, w = u * a, v * a, 2 * k * p * a
         out[k + 2] += (ua - va - w) / 4
         out[abs(k - 2)] += (ua - va + w) / 4
@@ -113,32 +121,56 @@ def test_apply_creation_matches_four_term_formula(b, p):
     for n in range(max(13, max_bound_states(params) + 1)):
         form = ground_form(ladder(params, n), params.p)
         for k in range(n - 1, -1, -1):
-            expect = _creation_four_term(form, ladder(params, k))
+            expect = _creation_four_term(form, ladder(params, k), _fractions(form))
             form = apply_creation(form, ladder(params, k))
-            assert form.coeffs == expect
+            assert _fractions(form) == expect
 
 
 @pytest.mark.parametrize("b, p, n_max", [("158/3", "2/3", 40), ("1111/16", 1, 35)])
 def test_candidate_form_matches_four_term_recursion_on_deep_wells(b, p, n_max):
     params = make_params(b, p)
     assert max_bound_states(params) == n_max
-    form = ground_form(ladder(params, n_max), params.p)
+    ground = form = ground_form(ladder(params, n_max), params.p)
+    coeffs = _fractions(form)  # the reference recursion, on Fractions throughout
     for k in range(n_max - 1, -1, -1):
-        coeffs = _creation_four_term(form, ladder(params, k))
-        form = HyperbolicForm(form.sigma - 1, form.tau - 1, form.p, coeffs)
+        coeffs = _creation_four_term(form, ladder(params, k), coeffs)
+        form = apply_creation(form, ladder(params, k))
+        assert form.den > 0 and math.gcd(form.den, *form.coeffs) == 1
     assert candidate_form(n_max, params) == form
+    assert (form.sigma, form.tau) == (ground.sigma - n_max, ground.tau - n_max)
+    assert _fractions(form) == coeffs
+
+
+# sha256 of the reduced coefficients of the forms n = 0..n_max, each
+# "num/den", joined by ";", one form per line: pure integer arithmetic, so
+# the digests cannot move with the platform's libm
+@pytest.mark.parametrize("b, p, digest", [
+    (20, "1/4", "75e83a62ced4d4e25236111fc0419590a4ecc2e2e07fd799956fa14a3e67bf90"),
+    ("1261/64", "1/4", "ab4834782d16302ce58654c431f0da20c9ccf8a8f09b9f95b6d5770eaa9d9517"),
+    ("158/3", "2/3", "5483d98cfa7ee2958ed957aa59b319ed680da24c3aae551adb2a49aa9eb36d72"),
+    ("1111/16", 1, "38a3687e62218ee6b025a315afcffaa140dbced5a5da22715357bd5c48ce4815"),
+])
+def test_exact_forms_are_pinned(b, p, digest):
+    params = make_params(b, p)
+    text = "".join(
+        ";".join(f"{a.numerator}/{a.denominator}" for a in _fractions(eigenfunction(n, params)))
+        + "\n"
+        for n in range(max_bound_states(params) + 1)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_eigenfunction_low_indices():
     f0 = eigenfunction(0, PR)
     assert f0 == ground_form(ladder(PR, 0), PR.p)
     f1 = eigenfunction(1, PR)
-    assert f1.coeffs == (0, Fraction(-29), Fraction(29, 2))
+    assert (f1.coeffs, f1.den) == ((0, -58, 29), 2)
 
 
 def test_eigenfunction_second_state_exact_recursion():
     f2 = eigenfunction(2, PR)
-    assert f2.coeffs == (
+    assert f2.den == 8
+    assert _fractions(f2) == (
         Fraction(4079, 8),
         Fraction(-795, 2),
         Fraction(399),
@@ -263,7 +295,7 @@ def test_node_counts_agree_with_high_precision_sampling():
     assert node_counts(forms) == [11, 14, 20]
     with mpmath.workdps(120):
         for n, form in zip((11, 14, 20), forms):
-            a = [mpmath.mpf(c.numerator) / c.denominator for c in form.coeffs]
+            a = [mpmath.mpf(c) / form.den for c in form.coeffs]
             signs = []
             for i in range(1, 801):
                 e = mpmath.exp(mpmath.mpf(i) / 100)  # exp(2u) at u = i/200
@@ -276,25 +308,30 @@ def test_node_counts_agree_with_high_precision_sampling():
 
 
 def _form(coeffs):
+    """The form with series coeffs (rationals), as integers over their lcm."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
     return HyperbolicForm(sigma=Fraction(-1), tau=Fraction(1), p=Fraction(1, 2),
-                          coeffs=tuple(Fraction(c) for c in coeffs))
+                          coeffs=tuple(int(c * den) for c in coeffs), den=den)
 
 
 def test_node_counts_report_a_repeated_root():
     # (c - 2)^2 (c - 3) = T_3/4 - 7 T_2/2 + 67 T_1/4 - 31/2 in c = cosh(2px)
     squared = _form(["-31/2", "67/4", "-7/2", "1/4"])
     # the square of the n = 4 series: four double roots in c > 1
-    a = eigenfunction(4, PR).coeffs
+    a = _fractions(eigenfunction(4, PR))
     product = [Fraction(0)] * (2 * len(a) - 1)
     for j, aj in enumerate(a):
         for k, ak in enumerate(a):  # T_j T_k = (T_{j+k} + T_{|j-k|}) / 2
             product[j + k] += aj * ak / 2
             product[abs(j - k)] += aj * ak / 2
     # (c - 2)(c - 3) = T_2/2 - 5 T_1 + 13/2 times the prime 2^61 - 1: a large
-    # common factor of the coefficients moves no root
+    # common factor of the coefficients moves no root, nor does one that the
+    # numerators share with the denominator (a form that is not canonical)
     simple = _form([Fraction(13, 2) * (2**61 - 1), -5 * (2**61 - 1),
                     Fraction(1, 2) * (2**61 - 1)])
-    assert node_counts([squared, _form(product), simple]) == [None, None, 2]
+    not_canonical = replace(simple, den=simple.den * (2**61 - 1))
+    assert node_counts([squared, _form(product), simple, not_canonical]) == [None, None, 2, 2]
 
 
 def _from_roots(roots):
@@ -368,7 +405,8 @@ def test_orthogonality_exact_only_through_first_rung():
 
 
 def test_json_serialization_shape():
-    # HyperbolicForm keeps plain Fractions; the CLI writes them as [num, den] pairs
+    # HyperbolicForm keeps integer numerators over one denominator; the CLI
+    # writes each coefficient reduced, as a [num, den] pair
     result = CliRunner().invoke(
         main, ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "1", "--grid-points", "150"]
     )
@@ -383,10 +421,10 @@ def test_json_serialization_shape():
 def test_form_invariants_enforced():
     with pytest.raises(ValueError):
         HyperbolicForm(sigma=Fraction(-1), tau=Fraction(0), p=Fraction(1, 2),
-                       coeffs=(Fraction(1),))
+                       coeffs=(1,), den=1)
     with pytest.raises(ValueError):
         HyperbolicForm(sigma=Fraction(-1), tau=Fraction(1), p=Fraction(1, 2),
-                       coeffs=(Fraction(1), Fraction(0)))
+                       coeffs=(1, 0), den=1)
 
 
 def test_domain_errors():

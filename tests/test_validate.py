@@ -164,7 +164,8 @@ def test_node_count_fails_on_an_extra_root():
     # a small T_5 coefficient on the n = 2 form: far out it outgrows the
     # series, with the opposite sign, so one more real root appears
     f = forms[2]
-    forms[2] = hyperpoly.HyperbolicForm(f.sigma, f.tau, f.p, f.coeffs + (Fraction(-1, 1000),))
+    forms[2] = hyperpoly.HyperbolicForm(
+        f.sigma, f.tau, f.p, tuple(1000 * c for c in f.coeffs) + (-f.den,), 1000 * f.den)
     xs = np.linspace(1e-3, 30.0, 200_001)  # float64 sampling is exact enough at n = 2
     assert oracle.count_nodes(hyperpoly.evaluate_scaled(forms[2], xs)[0]) == 3
     check = validate._check_nodes(SimpleNamespace(forms=forms))
