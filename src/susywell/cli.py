@@ -49,9 +49,43 @@ def _strict(tree):
     return tree
 
 
-def _json_text(payload) -> str:
-    """Indented strict JSON: inf and nan are written as null."""
-    return json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n"
+# what `%.12g` writes for a value that is not finite; JSON writes null
+_NULLS = {"inf": "null", "-inf": "null", "nan": "null"}
+# a _Raw value's stand-in while json.dumps writes the rest of its payload
+_HOLE = "\0"
+# one `eigenfunction` sample as json.dumps lays it out inside a top-level list
+_SAMPLE = '{\n      "x": %s,\n      "psi": %s\n    }'
+
+
+class _Raw(str):
+    """JSON text of a top-level value, already laid out at depth 1."""
+
+
+def _json_numbers(values) -> list[str]:
+    """The JSON token json.dumps writes for sig12(x) of each value: its
+    float repr, or null when the value is not finite.  One C-level format
+    rounds the whole array."""
+    values = np.ravel(values).tolist()
+    text = ("%.12g " * len(values)) % tuple(values)
+    return [_NULLS.get(t) or repr(float(t)) for t in text.split()]
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """A list of JSON item texts in json.dumps's indent-2 layout at `depth`."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * depth
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
+def _json_text(payload: dict) -> str:
+    """Indented strict JSON: inf and nan are written as null.  A _Raw value is
+    written as it is, so a long array never passes through json.dumps."""
+    raw = [v for v in payload.values() if isinstance(v, _Raw)]
+    head = {k: _HOLE if isinstance(v, _Raw) else v for k, v in payload.items()}
+    text = json.dumps(_strict(head), indent=2, allow_nan=False)
+    parts = text.split(json.dumps(_HOLE), len(raw))
+    return "".join(itertools.chain(*zip(parts, raw), parts[-1:])) + "\n"
 
 
 def _fmt(x: float) -> str:
@@ -227,15 +261,15 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
             f"state {state_index} cannot be normalized on it (sampled norm "
             f"{norm}: the samples underflow to 0 or overflow float64)"
         )
-    values = values / np.sqrt(norm)
+    # x0, psi0, x1, psi1, ...
+    samples = np.column_stack((xs, values / np.sqrt(norm)))
     if fmt == "csv":
-        lines = [
-            f"# n={state_index} sigma={form.sigma} tau={form.tau} p={form.p}",
-            "# coeffs=" + ";".join(str(Fraction(c, form.den)) for c in form.coeffs),
-            "x,psi",
-        ]
-        lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
-        text = "\n".join(lines) + "\n"
+        text = (
+            f"# n={state_index} sigma={form.sigma} tau={form.tau} p={form.p}\n"
+            "# coeffs=" + ";".join(str(Fraction(c, form.den)) for c in form.coeffs) + "\n"
+            "x,psi\n"
+            + ("%.12g,%.12g\n" * len(samples)) % tuple(samples.ravel().tolist())
+        )
     else:
         payload = {
             "n": state_index,
@@ -248,9 +282,8 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
                 "coeffs": [_pair(Fraction(c, form.den)) for c in form.coeffs],
             },
             "decay_exponent": sig12(hyperpoly.decay_exponent(form)),
-            "samples": [
-                {"x": sig12(x), "psi": sig12(v)} for x, v in zip(xs, values)
-            ],
+            "samples": _Raw(_json_list([_SAMPLE] * len(samples), 1)
+                            % tuple(_json_numbers(samples))),
         }
         text = _json_text(payload)
     _emit(text, out)
@@ -323,17 +356,21 @@ def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
             idx = np.flatnonzero(vals > threshold * float(np.max(vals)))
             spans.append(range(idx[0], idx[-1] + 1) if idx.size else range(0))
     if fmt == "csv":
-        header = "x,V," + ",".join(f"E{n}" for n in range(n_max + 1)) + ",asymptote"
-        rows = len(xs)
-        columns = [[_fmt(x) for x in xs], [_fmt(val) for val in v]]
-        for (_, e), span in zip(spec.levels, spans):
-            columns.append([""] * span.start + [_fmt(e)] * len(span) + [""] * (rows - span.stop))
-        columns.append([_fmt(spec.asymptote)] * rows)
-        text = header + "\n" + "".join(",".join(cells) + "\n" for cells in zip(*columns))
+        blocks = ["x,V," + ",".join(f"E{n}" for n in range(n_max + 1)) + ",asymptote\n"]
+        # the level cells change only where a span starts or stops, so each
+        # run of rows between two such cuts is one format over its x, V pairs
+        cuts = sorted({0, len(xs), *(s.start for s in spans), *(s.stop for s in spans)})
+        energies = [_fmt(e) for _, e in spec.levels]
+        xv = tuple(np.column_stack((xs, v)).ravel().tolist())
+        for a, b in zip(cuts, cuts[1:]):
+            cells = ",".join(e if a in span else "" for e, span in zip(energies, spans))
+            row = f"%.12g,%.12g,{cells},{_fmt(spec.asymptote)}\n"
+            blocks.append((row * (b - a)) % xv[2 * a:2 * b])
+        text = "".join(blocks)
     else:
         payload = {
-            "x": [sig12(x) for x in xs],
-            "V": [sig12(val) for val in v],
+            "x": _Raw(_json_list(_json_numbers(xs), 1)),
+            "V": _Raw(_json_list(_json_numbers(v), 1)),
             "levels": [
                 {
                     "n": n,

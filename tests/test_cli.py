@@ -6,11 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from susywell import analysis, cli, hyperpoly, oracle, validate
 from susywell.cli import main
 from susywell.params import Float64RangeError, make_params
-from susywell.spectrum import max_bound_states
+from susywell.potential import potential_closed_form
+from susywell.spectrum import full_spectrum, max_bound_states
 
 
 @pytest.fixture()
@@ -462,3 +465,111 @@ def test_range_and_grid_errors_exit_2_from_every_command(
     assert "Traceback" not in result.output
     assert result.stdout == ""
     assert result.stderr == f"{prefix}stub reason\n"
+
+
+# `eigenfunction` and `figure` write their long arrays without json.dumps;
+# the tests below hold that text to the bytes json.dumps(indent=2) would give
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+         1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e22,
+         123456789012.0, 999999999999.5, 1e-4, 1e-5, math.inf, -math.inf, math.nan]
+
+
+def _token(x: float) -> str:
+    """The token json.dumps writes for x in a strict payload."""
+    return json.dumps(cli._strict(cli.sig12(x)), allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), max_size=20))
+@example(EDGES)
+@example([])
+def test_json_numbers_match_the_encoder(values):
+    assert cli._json_numbers(np.array(values, dtype=float)) == [_token(x) for x in values]
+
+
+def _laid_out(tree, depth=0) -> str:
+    if isinstance(tree, list):
+        return cli._json_list([_laid_out(v, depth + 1) for v in tree], depth)
+    return cli._json_numbers([tree])[0]
+
+
+def _rounded(tree):
+    return [_rounded(v) for v in tree] if isinstance(tree, list) else cli.sig12(tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(st.floats(), lambda inner: st.lists(inner, max_size=4), max_leaves=12))
+@example([])
+@example([1.5])
+@example([[]])
+@example([[1.0, -0.0], [], [[math.inf]], 2.0])
+def test_json_list_matches_the_encoder_layout(tree):
+    expect = json.dumps(cli._strict(_rounded(tree)), indent=2, allow_nan=False)
+    assert _laid_out(tree) == expect
+
+
+def test_raw_values_keep_the_payload_order():
+    numbers = [1.0, math.nan, -2.5e-300]
+    payload = {"a": 1, "x": numbers, "b": {"c": [math.inf], "d": "\\"}, "y": [], "z": None}
+    raw = {**payload, "x": cli._Raw(cli._json_list(cli._json_numbers(numbers), 1)),
+           "y": cli._Raw(cli._json_list([], 1))}
+    assert cli._json_text(raw) == json.dumps(cli._strict(payload), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["eigenfunction", "--B", "7", "--p", "1/2", "-n", "0", "--grid-points", "2000"],
+    ["eigenfunction", "--B", "20", "--p", "1/4", "-n", "20", "--grid-points", "1000"],
+    ["eigenfunction", "--B", "3/5", "--p", "1/2", "-n", "0", "--x-min", "1e-300"],
+    ["figure", "--B", "7", "--p", "1/2", "--grid-points", "2000"],
+    # V is not finite on this grid, inside the wall
+    ["figure", "--B", "7", "--p", "0.5", "--x-min", "1e-12", "--x-max", "1e-9",
+     "--grid-points", "100"],
+])
+def test_json_commands_write_the_encoders_bytes(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    out = result.output
+    assert json.dumps(json.loads(out, parse_constant=_reject_constant), indent=2) + "\n" == out
+
+
+def _g12(x) -> str:
+    return f"{float(x):.12g}"
+
+
+@pytest.mark.parametrize("b, p, grid", [
+    ("7", "1/2", []),
+    ("1261/64", "1/4", []),  # n_max = 40: the level columns start and stop at many rows
+    ("7", "1/2", ["--x-min", "1e-12", "--x-max", "1e-9"]),  # V is not finite here
+])
+def test_figure_csv_cells_are_the_values_at_12_digits(runner, b, p, grid):
+    result = runner.invoke(main, ["figure", "--B", b, "--p", p, "--grid-points", "400",
+                                  "--format", "csv", *grid])
+    assert result.exit_code == 0
+    params = make_params(b, p)
+    base = oracle.default_grid(params, 400)
+    xs = oracle.RadialGrid(float(grid[1]) if grid else base.x_min,
+                           float(grid[3]) if grid else base.x_max, 400).points()
+    spec = full_spectrum(params)
+    columns = [[_g12(x) for x in xs], [_g12(v) for v in potential_closed_form(xs, params)]]
+    for n, e in spec.levels:
+        vals = np.abs(hyperpoly.evaluate(hyperpoly.eigenfunction(n, params), xs))
+        idx = np.flatnonzero(vals > 0.02 * float(np.max(vals)))
+        inside = range(idx[0], idx[-1] + 1) if idx.size else range(0)
+        columns.append([_g12(e) if i in inside else "" for i in range(len(xs))])
+    columns.append([_g12(spec.asymptote)] * len(xs))
+    assert result.output.splitlines()[1:] == [",".join(cells) for cells in zip(*columns)]
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_eigenfunction_csv_cells_are_the_values_at_12_digits(runner, n):
+    result = runner.invoke(main, ["eigenfunction", "--B", "7", "--p", "1/2", "-n", str(n),
+                                  "--grid-points", "1000", "--format", "csv"])
+    assert result.exit_code == 0
+    params = make_params("7", "1/2")
+    grid = oracle.default_grid(params, 1000)
+    xs = grid.points()
+    psi = hyperpoly.evaluate(hyperpoly.eigenfunction(n, params), xs)
+    psi = psi / np.sqrt(oracle.inner_product(psi, psi, grid))
+    lines = result.output.splitlines()
+    assert lines[2] == "x,psi"
+    assert lines[3:] == [f"{_g12(x)},{_g12(y)}" for x, y in zip(xs, psi)]
