@@ -296,7 +296,12 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
 def cmd_validate(b_text, p_text, x_min, x_max, grid_points, fmt, out):
     """Run the full cross-validation suite; exit 0 only if every check passes."""
     params = _parse_params(b_text, p_text)
-    report = validate.run_validation(params, _make_grid(params, x_min, x_max, grid_points))
+    grid = _make_grid(params, x_min, x_max, grid_points)
+    try:
+        report = validate.run_validation(params, grid)
+    except RuntimeError as exc:
+        click.echo(f"validation failed: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION_FAILURE)
     if fmt == "json":
         minimum = _minimum_fields(report.extras["minimum"])
         text = _json_text({

@@ -12,6 +12,18 @@ from the live brackets in the next few levels, and the levels are then
 walked exactly as plain bisection would walk them.  A count at one shift
 does not depend on the others in its batch, so the bisection path and
 every eigenvalue are those of one level per count, with far fewer calls.
+
+A caller that knows roughly where the levels lie can pass cuts: shifts
+counted once (count_cuts).  For eigenvalue j the largest cut that counts at
+most j and the smallest that counts at least j + 1 enclose it.  The count
+is monotone in the shift under correctly rounded arithmetic, with small
+pivots clamped to -pivmin (Demmel, Dhillon & Ren 1995), and the early exit
+returns the full walk's count; so a bisection midpoint at or below the
+first cut, or at or above the second, is answered without a count, and a
+pass counts only the midpoints inside some enclosure.  The walk is the
+plain one, bit for bit; a cut in the wrong place only widens an enclosure.
+Shifts held below the continuum keep every count short, because the walk
+stops early past their turning points.
 """
 
 from __future__ import annotations
@@ -123,7 +135,24 @@ def build_hamiltonian(params: ModelParams, grid: RadialGrid) -> DiscretizedHamil
     return DiscretizedHamiltonian(grid=grid, diag=diag, offdiag=offdiag)
 
 
-def _bisect_lowest(diag: np.ndarray, offdiag: np.ndarray, m: int) -> list[float]:
+@dataclass(frozen=True)
+class Cuts:
+    """Sturm counts at sorted shifts of one matrix, from one kernel call:
+    counts[i] of its eigenvalues lie strictly below shifts[i]."""
+
+    shifts: np.ndarray
+    counts: np.ndarray
+
+
+def count_cuts(H: DiscretizedHamiltonian, shifts) -> Cuts:
+    """Count the eigenvalues of H below each shift, in one kernel call."""
+    shifts = np.sort(np.asarray(shifts, dtype=np.float64))
+    return Cuts(shifts, kernels.sturm_counts(H.diag, H.offdiag * H.offdiag, shifts))
+
+
+def _bisect_lowest(
+    diag: np.ndarray, offdiag: np.ndarray, m: int, cuts: "Cuts | None" = None
+) -> list[float]:
     off2 = offdiag * offdiag
     radius = np.abs(offdiag)
     reach = np.zeros_like(diag)
@@ -137,14 +166,26 @@ def _bisect_lowest(diag: np.ndarray, offdiag: np.ndarray, m: int) -> list[float]
     lo = np.full(m, lo_bound)
     hi = np.full(m, hi_bound)
     want = np.arange(1, m + 1)  # eigenvalue j is below x iff count(x) >= j+1
+    # enclosure (a_j, b_j): the largest cut that counts at most j and the
+    # smallest that counts at least j + 1, or none (-inf, inf); with the counts
+    # monotone in the shift, a midpoint <= a_j counts at most j and one >= b_j
+    # at least j + 1, so those levels need no count
+    if cuts is None:
+        cuts = Cuts(np.empty(0), np.empty(0, dtype=np.int64))
+    edges = np.concatenate(([-np.inf], cuts.shifts, [np.inf]))
+    at = np.searchsorted(cuts.counts, want - 1, side="right")
+    a, b = edges[at], edges[at + 1]
     levels_left = 0
     for _ in range(_MAX_BISECT_ITER):
         if np.all(hi - lo <= tol):
             break
         if levels_left == 0:
-            shifts, counts, levels_left = _multisection_pass(diag, off2, lo, hi)
+            shifts, counts, levels_left = _multisection_pass(diag, off2, lo, hi, a, b)
         mid = 0.5 * (lo + hi)
-        below = counts[np.searchsorted(shifts, mid)] >= want
+        below = mid >= b
+        ask = (mid > a) & ~below
+        if ask.any():
+            below[ask] = counts[np.searchsorted(shifts, mid[ask])] >= want[ask]
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
         levels_left -= 1
@@ -153,42 +194,53 @@ def _bisect_lowest(diag: np.ndarray, offdiag: np.ndarray, m: int) -> list[float]
     return [float(v) for v in 0.5 * (lo + hi)]
 
 
-def _multisection_pass(diag, off2, lo, hi):
-    """Sturm counts, from one kernel call, at every midpoint that plain
-    bisection can reach from the brackets (lo, hi) within the returned
-    number of levels: as many levels (at least one) as keep the midpoints
-    within kernels.SHIFT_BATCH for the distinct brackets.
+def _multisection_pass(diag, off2, lo, hi, a, b):
+    """Sturm counts, from at most one kernel call, at every midpoint that
+    plain bisection can reach from the brackets (lo, hi) within the returned
+    number of levels and that lies inside some enclosure (a_j, b_j): as many
+    levels (at least one) as keep the midpoints within kernels.SHIFT_BATCH
+    for the distinct brackets.  No call is made when no midpoint needs one.
 
     The midpoints are built with the same 0.5 * (lo + hi) arithmetic as
     the bisection that looks them up, so every lookup hits exactly.
-    Brackets are monotone in the eigenvalue index, so equal brackets are
-    neighbours; a bracket is expanded once however many eigenvalues share it.
+    Brackets and enclosures are monotone in the eigenvalue index, so equal
+    brackets are neighbours; a bracket is expanded once however many
+    eigenvalues share it.
     """
     fresh = np.ones(lo.shape[0], dtype=bool)
     fresh[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    a, b = lo[fresh], hi[fresh]
-    depth = max(1, (kernels.SHIFT_BATCH // a.shape[0] + 1).bit_length() - 1)
+    left, right = lo[fresh], hi[fresh]
+    depth = max(1, (kernels.SHIFT_BATCH // left.shape[0] + 1).bit_length() - 1)
     points = []
     for _ in range(depth):
-        mid = 0.5 * (a + b)
+        mid = 0.5 * (left + right)
         points.append(mid)
-        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
     shifts = np.sort(np.concatenate(points))
     keep = np.ones(shifts.shape[0], dtype=bool)
     keep[1:] = shifts[1:] != shifts[:-1]
     shifts = shifts[keep]
+    # b is nondecreasing: the first enclosure that ends above a shift is the
+    # only one that can hold it
+    first = np.minimum(np.searchsorted(b, shifts, side="right"), b.shape[0] - 1)
+    shifts = shifts[(a[first] < shifts) & (shifts < b[first])]
+    if shifts.shape[0] == 0:
+        return shifts, shifts, depth
     return shifts, kernels.sturm_counts(diag, off2, shifts), depth
 
 
-def lowest_eigenvalues(H: DiscretizedHamiltonian, m: int) -> list[float]:
+def lowest_eigenvalues(
+    H: DiscretizedHamiltonian, m: int, cuts: "Cuts | None" = None
+) -> list[float]:
     """The m smallest eigenvalues, each the midpoint of a Sturm bisection
     bracket no wider than _BISECT_REL_TOL (1e-13) times max(|lo|, |hi|, 1),
     where lo and hi are the Gershgorin bounds of H; deterministic for fixed
-    inputs."""
+    inputs.  Cuts counted on H (count_cuts) answer the bisection levels they
+    decide without a count: the same floats, with fewer and cheaper counts."""
     n = H.diag.shape[0]
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= {n}, got {m}")
-    return _bisect_lowest(H.diag, H.offdiag, m)
+    return _bisect_lowest(H.diag, H.offdiag, m, cuts)
 
 
 def eigenvector_for(H: DiscretizedHamiltonian, eigenvalue: float) -> EigenResult:

@@ -59,7 +59,9 @@ class _Well:
     params: ModelParams
     spec: Spectrum
     H: oracle.DiscretizedHamiltonian  # on the report's grid, H.grid
-    numeric: list[float]  # the n_max + 4 lowest levels of H
+    numeric: list[float]  # the n_max + 1 lowest levels of H
+    # levels of H below the asymptote, counted up to n_max + 4
+    levels_below_asymptote: int
     forms: list[hyperpoly.HyperbolicForm]  # the exact forms n = 0..n_max
     psi01: tuple[np.ndarray, np.ndarray]  # forms 0 and 1 sampled on H.grid
     # H.grid points at x >= 0.2/p, where the stencil norms are taken: the
@@ -167,7 +169,7 @@ def _check_energies(well: _Well) -> CheckResult:
         if abs(diff) > worst:
             worst, worst_n = abs(diff), n
     well.extras["energy_comparison"] = table
-    well.extras["levels_below_asymptote"] = int(sum(1 for v in well.numeric if v < asym))
+    well.extras["levels_below_asymptote"] = well.levels_below_asymptote
     return CheckResult(
         "spectrum-vs-oracle",
         worst <= tol,
@@ -177,11 +179,18 @@ def _check_energies(well: _Well) -> CheckResult:
 
 def _check_convergence(well: _Well) -> CheckResult:
     # difference ratio on E_1 across h, h/2, h/4; immune to the constant
-    # truncation offset, isolates the h^2 order of the stencil
+    # truncation offset, isolates the h^2 order of the stencil.  Each solve
+    # is seeded with cuts halfway between the main solve's E_0, E_1 and the
+    # next level up, or the asymptote when n_max = 1: the refinements move
+    # the levels far less, and no cut reaches the asymptote, so every count
+    # stops early
+    e0, e1 = well.numeric[:2]
+    top = well.numeric[2] if len(well.numeric) > 2 else float(well.spec.asymptote)
+    shifts = (0.5 * (e0 + e1), 0.5 * (e1 + top))
     e = []
     for n_points in (2999, 5999, 11999):
         H = oracle.build_hamiltonian(well.params, replace(well.H.grid, n_points=n_points))
-        e.append(oracle.lowest_eigenvalues(H, 2)[1])
+        e.append(oracle.lowest_eigenvalues(H, 2, oracle.count_cuts(H, shifts))[1])
     d1, d2 = e[0] - e[1], e[1] - e[2]
     if d2 == 0.0:
         return CheckResult("convergence-order", False, "degenerate refinement differences")
@@ -345,6 +354,17 @@ _CHECKS = (
 )
 
 
+def _bound_levels(H: oracle.DiscretizedHamiltonian, spec: Spectrum) -> tuple[list[float], int]:
+    """The n_max + 1 lowest levels of H, and the number of its levels below
+    the asymptote.  One kernel call counts the cuts: halfway between
+    consecutive closed-form levels, and the asymptote on top."""
+    closed = [float(e) for _, e in spec.levels]
+    cuts = oracle.count_cuts(
+        H, [0.5 * (x + y) for x, y in zip(closed, closed[1:])] + [float(spec.asymptote)]
+    )
+    return oracle.lowest_eigenvalues(H, spec.n_max + 1, cuts), int(cuts.counts[-1])
+
+
 def run_validation(
     params: ModelParams, grid: "oracle.RadialGrid | None" = None
 ) -> ValidationReport:
@@ -354,7 +374,9 @@ def run_validation(
     Float64RangeError when the exact forms do not fit float64."""
     grid = oracle.default_grid(params) if grid is None else grid
     n_max = max_bound_states(params)
-    m = n_max + 4  # a few beyond the cutoff: exposes extra true levels, if any
+    # levels below the asymptote are counted up to a few beyond the cutoff:
+    # exposes extra true levels, if any
+    m = n_max + 4
     if m > grid.n_points:
         raise oracle.GridError(
             f"{grid.n_points} points are too few: the oracle solve "
@@ -373,11 +395,14 @@ def run_validation(
                 f"state {n} cannot be normalized on it (sampled norm {norm} at x >= 0.2/p: "
                 "the samples underflow to 0 or overflow float64, or none lie there)"
             )
+    spec = full_spectrum(params)
+    numeric, below = _bound_levels(H, spec)
     well = _Well(
         params=params,
-        spec=full_spectrum(params),
+        spec=spec,
         H=H,
-        numeric=oracle.lowest_eigenvalues(H, m),
+        numeric=numeric,
+        levels_below_asymptote=min(below, m),
         forms=forms,
         psi01=psi01,
         bulk=bulk,

@@ -467,6 +467,20 @@ def test_range_and_grid_errors_exit_2_from_every_command(
     assert result.stderr == f"{prefix}stub reason\n"
 
 
+def test_solver_failure_in_validate_exits_1_with_one_line(runner, monkeypatch):
+    # the oracle raises RuntimeError when a solve fails, as inverse iteration
+    # still does at --B 1e90 --p 5e89 (ROADMAP item 3)
+    def fail(*_args, **_kwargs):
+        raise RuntimeError("inverse iteration produced a degenerate vector")
+
+    monkeypatch.setattr(oracle, "eigenvector_for", fail)
+    result = runner.invoke(main, ["validate", "--B", "7", "--p", "1/2", "--grid-points", "1000"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == "validation failed: inverse iteration produced a degenerate vector\n"
+
+
 # `eigenfunction` and `figure` write their long arrays without json.dumps;
 # the tests below hold that text to the bytes json.dumps(indent=2) would give
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,

@@ -94,6 +94,45 @@ def test_early_exit_counts_match_reference_on_validate_hamiltonians(b, p):
     assert np.array_equal(_batched_counts(H.diag, off2, batches), expect)
 
 
+def _count_steps(diag, off2, lo, hi):
+    # adjacent floats lo_j < hi_j with count(lo_j) <= j < count(hi_j), for
+    # each j, by bisection from brackets with that property
+    want = np.arange(1, lo.shape[0] + 1)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            return hi
+        up = kernels.sturm_counts(diag, off2, mid) >= want
+        hi = np.where(live & up, mid, hi)
+        lo = np.where(live & ~up, mid, lo)
+
+
+@pytest.mark.parametrize("b, p", [("7", "1/2"), ("3/5", "1/2"), ("20", "1/4")])
+def test_counts_never_decrease_at_sorted_shifts_on_validate_hamiltonians(b, p):
+    # monotone counts are the premise of validate's cut enclosures; Demmel,
+    # Dhillon & Ren (1995) show when the count of this recurrence is monotone
+    # in correctly rounded arithmetic.  Two parts of this kernel must keep
+    # it so: the clamp of a pivot smaller than pivmin to -pivmin, which is a
+    # nondecreasing map of the pivot, and the early exit, which returns the
+    # count of the full walk.  The shifts run over every float next to the
+    # shift where the count steps up at E_0, E_1 and E_2, and next to the
+    # asymptote, and spread out from there geometrically
+    params = make_params(Fraction(b), Fraction(p))
+    H = oracle.build_hamiltonian(params, oracle.default_grid(params))
+    off2 = H.offdiag * H.offdiag
+    levels = np.array(oracle.lowest_eigenvalues(H, 4))
+    margin = oracle._BISECT_REL_TOL * H.norm_bound()  # at least the bracket width
+    steps = _count_steps(H.diag, off2, levels[:3] - margin, levels[:3] + margin)
+    assert list(kernels.sturm_counts(H.diag, off2, steps)) == [1, 2, 3]
+    spread = np.geomspace(1e-15, 1.0, 128) * (levels[3] - levels[0])
+    shifts = np.sort(np.concatenate([
+        np.concatenate((c + np.spacing(c) * np.arange(-128, 128), c - spread, c + spread))
+        for c in (*steps, float(full_spectrum(params).asymptote))
+    ]))
+    assert np.all(np.diff(kernels.sturm_counts(H.diag, off2, shifts)) >= 0)
+
+
 def test_early_exit_counts_match_reference_with_zero_off_diagonals():
     rng = np.random.default_rng(5)
     n = 6 * kernels._BLOCK_ROWS + 17

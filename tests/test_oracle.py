@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from susywell import kernels, oracle
+from susywell import kernels, oracle, validate
 from susywell.hyperpoly import eigenfunction, evaluate, ground_form
 from susywell.oracle import (
     DiscretizedHamiltonian,
@@ -18,6 +18,7 @@ from susywell.oracle import (
     lowest_eigenvalues,
 )
 from susywell.params import ladder, make_params
+from susywell.spectrum import full_spectrum
 
 PR = make_params(7, 0.5)
 ACCEPT_GRID = RadialGrid(x_min=0.01, x_max=24.0, n_points=12000)
@@ -99,18 +100,86 @@ def _reference_lowest(H, m):
     return [float(v) for v in 0.5 * (lo + hi)]
 
 
+_SOLVES = {
+    "box-m1": ("box", 1),
+    "box-m4": ("box", 4),
+    "7,1/2-m11": (("7", "1/2"), 11),
+    "10,1/4-m24": (("10", "1/4"), 24),
+}
+
+
+@pytest.fixture(scope="module")
+def plain_bisection():
+    """Each case of _SOLVES as (H, its _reference_lowest levels), built once."""
+    solved = {}
+
+    def solve(case):
+        if case not in solved:
+            well, m = _SOLVES[case]
+            if well == "box":
+                H = _box_hamiltonian()
+            else:
+                params = make_params(*well)
+                H = build_hamiltonian(params, default_grid(params))
+            solved[case] = (H, _reference_lowest(H, m))
+        return solved[case]
+
+    return solve
+
+
+def _cut_shifts(kind, H, levels):
+    reach = np.zeros_like(H.diag)
+    reach[:-1] += np.abs(H.offdiag)
+    reach[1:] += np.abs(H.offdiag)
+    lo_bound, hi_bound = float(np.min(H.diag - reach)), float(np.max(H.diag + reach))
+    between = [0.5 * (x + y) for x, y in zip(levels, levels[1:])]
+    correct = between + [levels[-1] + 0.5 * (levels[-1] - levels[-2])]
+    return {
+        "correct": correct,
+        "shifted": correct[1:] + [levels[-1] + 2.0 * (levels[-1] - levels[-2])],
+        "on-levels": levels,
+        "below": [lo_bound - 3.0, lo_bound - 2.0, lo_bound - 1.0],
+        "above": [hi_bound + 1.0, hi_bound + 2.0, hi_bound + 3.0],
+        "duplicate": correct + correct[::2],
+    }[kind]
+
+
 @pytest.mark.parametrize(
-    "well, m",
-    [("box", 1), ("box", 4), (("7", "1/2"), 11), (("10", "1/4"), 24)],
-    ids=["box-m1", "box-m4", "7,1/2-m11", "10,1/4-m24"],
+    "case, cuts",
+    [pytest.param(case, None, id=case) for case in _SOLVES]
+    + [pytest.param(case, kind, id=f"{case}-{kind}")
+       for case in ("box-m4", "7,1/2-m11", "10,1/4-m24")
+       for kind in ("correct", "shifted", "on-levels", "below", "above", "duplicate")],
 )
-def test_multisection_matches_plain_bisection(well, m):
-    if well == "box":
-        H = _box_hamiltonian()
-    else:
-        params = make_params(*well)
-        H = build_hamiltonian(params, default_grid(params))
-    assert lowest_eigenvalues(H, m) == _reference_lowest(H, m)
+def test_multisection_matches_plain_bisection(plain_bisection, case, cuts):
+    # cuts that bound the levels, bound them one level off, sit on them, lie
+    # outside the Gershgorin bounds or repeat: each widens or narrows the
+    # enclosures, and none moves a level off the plain bisection's floats
+    H, levels = plain_bisection(case)
+    if cuts is not None:
+        cuts = oracle.count_cuts(H, _cut_shifts(cuts, H, levels))
+    assert lowest_eigenvalues(H, len(levels), cuts) == levels
+
+
+@pytest.mark.parametrize("case", ["7,1/2-m11", "10,1/4-m24"])
+def test_validate_main_solve_matches_plain_bisection(plain_bisection, case):
+    # validate bisects only the n_max + 1 bound levels, where the plain
+    # bisection solved n_max + 4
+    H, levels = plain_bisection(case)
+    spec = full_spectrum(make_params(*_SOLVES[case][0]))
+    assert len(levels) == spec.n_max + 4
+    numeric, _ = validate._bound_levels(H, spec)
+    assert numeric == levels[:spec.n_max + 1]
+
+
+def test_cuts_are_counted_sorted_in_one_call(monkeypatch):
+    calls = []
+    count = kernels.sturm_counts
+    monkeypatch.setattr(kernels, "sturm_counts", lambda *a: calls.append(a[2]) or count(*a))
+    cuts = oracle.count_cuts(_box_hamiltonian(200), [9.5, 0.5, 4.5, 4.5])
+    assert len(calls) == 1
+    assert list(cuts.shifts) == [0.5, 4.5, 4.5, 9.5]
+    assert list(cuts.counts) == [0, 2, 2, 3]
 
 
 def test_bisection_solve_makes_few_counts(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from susywell import hyperpoly, oracle, validate
+from susywell import hyperpoly, kernels, oracle, validate
 from susywell.cli import main
 from susywell.params import make_params
 from susywell.spectrum import full_spectrum, max_bound_states
@@ -208,3 +208,26 @@ def test_too_few_points_fail_before_any_work(monkeypatch):
     params = make_params(1000, "1/1000")  # n_max = 500000
     with pytest.raises(oracle.GridError, match="n_max \\+ 4 = 500004 grid points"):
         run_validation(params)
+
+
+@pytest.mark.parametrize(
+    "b, p, cap_binds", [("7", "1/2", False), ("3/5", "1/2", False), ("20", "1/4", True)]
+)
+def test_one_count_at_the_asymptote_gives_the_levels_below_it(monkeypatch, b, p, cap_binds):
+    # levels_below_asymptote keeps its rule, the levels among the n_max + 4
+    # lowest that lie below the asymptote, though validate solves only the
+    # n_max + 1 bound levels; at (20, 1/4) 58 levels lie below it
+    params = make_params(b, p)
+    spec = full_spectrum(params)
+    asym = float(spec.asymptote)
+    H = oracle.build_hamiltonian(params, oracle.default_grid(params))
+    expect = sum(v < asym for v in oracle.lowest_eigenvalues(H, spec.n_max + 4))
+    assert (oracle.count_cuts(H, [asym]).counts[0] > spec.n_max + 4) == cap_binds
+    # every check that solves on a grid; the others count no eigenvalues
+    monkeypatch.setattr(validate, "_CHECKS", (
+        validate._check_energies, validate._check_convergence, validate._check_oracle_self,
+    ))
+    shifts = _counting(monkeypatch, kernels, "sturm_counts")
+    report = run_validation(params)
+    assert report.extras["levels_below_asymptote"] == expect
+    assert sum(np.count_nonzero(np.asarray(s[2]) >= asym) for s in shifts) == 1
