@@ -128,12 +128,14 @@ def _unwritable(path: str, reason: str):
 
 def _resolve_out(ctx, param, out: "str | None") -> "str | None":
     """The --out path, joined with $SUSYWELL_OUT_DIR when bare.  A path that
-    names a directory, or whose directory is missing or not a directory,
-    exits 2 before any work, with the reason open() would give."""
+    is empty, names a directory, or whose directory is missing or not a
+    directory, exits 2 before any work, with the reason open() would give."""
     if out is None:
         return None
     base = os.environ.get("SUSYWELL_OUT_DIR", "")
     path = os.path.join(base, out) if base and not os.path.dirname(out) else out
+    if not path:
+        _unwritable(path, os.strerror(errno.ENOENT))
     if path.endswith(os.sep) or os.path.isdir(path):
         _unwritable(path, os.strerror(errno.EISDIR))
     try:

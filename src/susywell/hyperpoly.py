@@ -6,8 +6,10 @@ a finite series sum_k a_k cosh(2kpx).  Applying the creation operator
 series picks up two more terms.  Coefficients are exact: integer numerators
 over one positive denominator per form.  Numeric evaluation factors out the
 dominant exponential so values, ratios and residuals stay computable where
-the raw numbers would under- or overflow.  Evaluators take numpy arrays of x > 0
-and return arrays; a scalar x is read as a 0-d array.
+the raw numbers would under- or overflow.  Every evaluator sums the series
+through one table of exp(-2jpx) (`_scaled_series`), for one form or for
+many that share p.  Evaluators take numpy arrays of x > 0 and return
+arrays; a scalar x is read as a 0-d array.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .params import Float64RangeError, LadderParams, ModelParams, ladder
 from .potential import _positive_x, coth, csch_squared, log_cosh, log_sinh, sech_squared
 from .spectrum import max_bound_states
 
-# float64 entries in sample_forms' exponential table; it is built a block of
-# points at a time, so it never holds (2K_max + 1) x N floats
+# float64 entries in _scaled_series' exponential table; it is built a block
+# of points at a time, so it never holds (2K_max + 1) x N floats
 _TABLE_ENTRIES = 2**19
 
 
@@ -192,25 +194,6 @@ def check_float64(forms) -> None:
         _float_terms(form, 2)
 
 
-def _sum_series(rows, K: int, exps, sums: list) -> None:
-    """Add the series scaled by exp(-2Ku), and its first len(sums) - 1
-    derivatives, into `sums`.
-
-    exps(j) is exp(-2ju) at the points.  cosh(2kpx)*exp(-2Ku) =
-    (exp(-2(K-k)u) + exp(-2(K+k)u)) / 2 keeps every exponent nonpositive,
-    so nothing overflows regardless of x.
-    """
-    for k, *terms in rows:
-        lo = exps(K - k)
-        hi = exps(K + k)
-        c = 0.5 * (lo + hi)
-        sums[0] += terms[0] * c
-        if len(sums) > 1:
-            sums[1] += terms[1] * (0.5 * (lo - hi))
-        if len(sums) > 2:
-            sums[2] += terms[2] * c
-
-
 def _log_scale(form: HyperbolicForm, u, log_cosh_3u, log_sinh_u):
     """Log of the factor taken out of the series: the prefactor times exp(2Ku)."""
     return (float(form.sigma) * log_cosh_3u
@@ -218,15 +201,44 @@ def _log_scale(form: HyperbolicForm, u, log_cosh_3u, log_sinh_u):
             + 2.0 * form.top_index * u)
 
 
-def _series_parts(form: HyperbolicForm, x, order: int):
-    """u = p*x, [P, P', ...] up to the derivative `order`, each scaled by
-    exp(-2*K*p*x) with K the top index, and the log of the factored-out
-    scale: the form is (P scaled) * exp(log_scale)."""
-    u = float(form.p) * _positive_x(x)
-    sums = [np.zeros_like(u) for _ in range(order + 1)]
-    _sum_series(_float_terms(form, order), form.top_index,
-                lambda j: np.exp(-2.0 * j * u), sums)
-    return u, sums, _log_scale(form, u, log_cosh(3.0 * u), log_sinh(u))
+def _scaled_series(forms, x, order: int):
+    """u = p*x, the forms that share p, and for each [P, P', ...] up to the
+    derivative `order`, scaled by exp(-2Ku) with K the form's top index:
+    the form is the scaled P times exp(_log_scale).
+
+    `forms` may be an iterator: each form is tested against float64 when it
+    is drawn, so a Float64RangeError comes before any later form is built.
+    cosh(2kpx)*exp(-2Ku) = (exp(-2(K-k)u) + exp(-2(K+k)u)) / 2 keeps every
+    exponent nonpositive, so nothing overflows regardless of x.  One table
+    of exp(-2ju), j = 0..2K_max, serves every form.
+    """
+    x = _positive_x(x)
+    rows = [(form, _float_terms(form, order)) for form in forms]
+    if len({form.p for form, _ in rows}) != 1:
+        raise ValueError("sample_forms needs a nonempty list of forms with one p")
+    u = float(rows[0][0].p) * x
+    flat = u.reshape(-1)
+    width = 2 * max(form.top_index for form, _ in rows) + 1
+    block = max(1, _TABLE_ENTRIES // width)
+    table = np.empty((width, min(block, flat.size)))
+    sums = [[np.zeros_like(u) for _ in range(order + 1)] for _ in rows]
+    for start in range(0, flat.size, block):
+        ub = flat[start:start + block]
+        tb = table[:, :ub.size]
+        for j in range(width):
+            np.exp(-2.0 * j * ub, out=tb[j])
+        for (form, terms), parts in zip(rows, sums):
+            out = [s.reshape(-1)[start:start + block] for s in parts]
+            K = form.top_index
+            for k, *a in terms:
+                lo, hi = tb[K - k], tb[K + k]
+                c = 0.5 * (lo + hi)
+                out[0] += a[0] * c
+                if order > 0:
+                    out[1] += a[1] * (0.5 * (lo - hi))
+                if order > 1:
+                    out[2] += a[2] * c
+    return u, [form for form, _ in rows], sums
 
 
 def evaluate_scaled(form: HyperbolicForm, x) -> tuple[np.ndarray, ...]:
@@ -235,8 +247,8 @@ def evaluate_scaled(form: HyperbolicForm, x) -> tuple[np.ndarray, ...]:
     The mantissa carries the sign (and the zeros) of the series; the
     exponent absorbs the full dynamic range.
     """
-    _, (pm,), log_scale = _series_parts(form, x, 0)
-    return pm, log_scale
+    u, _, [(pm,)] = _scaled_series([form], x, 0)
+    return pm, _log_scale(form, u, log_cosh(3.0 * u), log_sinh(u))
 
 
 def evaluate(form: HyperbolicForm, x) -> np.ndarray:
@@ -247,36 +259,15 @@ def evaluate(form: HyperbolicForm, x) -> np.ndarray:
 
 
 def sample_forms(forms, x) -> list[np.ndarray]:
-    """The values of forms that share p at the points x (1-d), one array
-    per form, bit for bit as `evaluate` gives them.
-
-    `forms` may be an iterator: each form is tested against float64 as
-    `evaluate` tests it when it is drawn, so a Float64RangeError comes
-    before any later form is built.  exp(-2ju) for j = 0..2K_max is
-    computed once for all forms instead of twice per coefficient per form,
-    a block of points at a time, so the table holds at most
-    _TABLE_ENTRIES floats.
-    """
-    terms = [(form, _float_terms(form, 0)) for form in forms]
-    if len({form.p for form, _ in terms}) != 1:
-        raise ValueError("sample_forms needs a nonempty list of forms with one p")
-    u = float(terms[0][0].p) * _positive_x(x)
-    width = 2 * max(form.top_index for form, _ in terms) + 1
-    block = max(1, _TABLE_ENTRIES // width)
-    table = np.empty((width, min(block, u.size)))
-    values = [np.zeros_like(u) for _ in terms]
-    for start in range(0, u.size, block):
-        ub = u[start:start + block]
-        tb = table[:, :ub.size]
-        for j in range(width):
-            np.exp(-2.0 * j * ub, out=tb[j])
-        for (form, rows), v in zip(terms, values):
-            _sum_series(rows, form.top_index, tb.__getitem__, [v[start:start + block]])
+    """The values of forms that share p at the points x, one array per
+    form, each as `evaluate` gives it.  `forms` may be an iterator: a form
+    that overflows float64 raises before any later one is drawn."""
+    u, forms, sums = _scaled_series(forms, x, 0)
     log_cosh_3u, log_sinh_u = log_cosh(3.0 * u), log_sinh(u)
     with np.errstate(over="ignore"):
-        for (form, _), v in zip(terms, values):
+        for form, (v,) in zip(forms, sums):
             v *= np.exp(_log_scale(form, u, log_cosh_3u, log_sinh_u))
-    return values
+    return [v for v, in sums]
 
 
 def evaluate_derivatives(form: HyperbolicForm, x) -> tuple[np.ndarray, ...]:
@@ -286,7 +277,8 @@ def evaluate_derivatives(form: HyperbolicForm, x) -> tuple[np.ndarray, ...]:
     """
     p = float(form.p)
     sigma, tau = float(form.sigma), float(form.tau)
-    u, (pm, p1m, p2m), log_scale = _series_parts(form, x, 2)
+    u, _, [(pm, p1m, p2m)] = _scaled_series([form], x, 2)
+    log_scale = _log_scale(form, u, log_cosh(3.0 * u), log_sinh(u))
     # logarithmic derivative of the prefactor and its derivative
     m = 3.0 * p * sigma * np.tanh(3.0 * u) + p * tau * coth(u)
     mp = 9.0 * p * p * sigma * sech_squared(3.0 * u) - p * p * tau * csch_squared(u)

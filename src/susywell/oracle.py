@@ -281,11 +281,7 @@ def eigenvector_for(H: DiscretizedHamiltonian, eigenvalue: float) -> EigenResult
         )
     if v[int(np.argmax(np.abs(v)))] < 0.0:
         v = -v
-    index = int(
-        kernels.sturm_counts(
-            H.diag, H.offdiag * H.offdiag, np.array([rayleigh - 1e-9 * norm])
-        )[0]
-    )
+    index = int(count_cuts(H, [rayleigh - 1e-9 * norm]).counts[0])
     nodes = count_nodes(v)
     v_unit = v / np.sqrt(H.grid.h)  # trapezoid-weight unit norm
     return EigenResult(

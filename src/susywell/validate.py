@@ -386,7 +386,7 @@ def run_validation(
     hyperpoly.check_float64(forms)  # the checks evaluate psi, psi' and psi''
     H = oracle.build_hamiltonian(params, grid)
     xs = grid.points()
-    psi01 = (hyperpoly.evaluate(forms[0], xs), hyperpoly.evaluate(forms[1], xs))
+    psi01 = tuple(hyperpoly.sample_forms(forms[:2], xs))
     bulk = xs >= 0.2 / float(params.p)
     for n, psi in enumerate(psi01):
         norm = oracle.norm2(psi[bulk])

@@ -386,14 +386,16 @@ def test_out_that_fails_only_at_write_time_is_a_parameter_error(runner, tmp_path
     assert result.stderr == f"cannot write output file {path}: Permission denied\n"
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
 def test_unwritable_out_is_rejected_before_any_work(runner, tmp_path, monkeypatch, where):
     def no_work(*args, **kwargs):
         raise AssertionError("validation ran before the --out check")
 
     monkeypatch.setattr(validate, "run_validation", no_work)
-    path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
-    reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+    monkeypatch.delenv("SUSYWELL_OUT_DIR", raising=False)  # with it set, "" names a directory
+    path = {"missing-directory": tmp_path / "missing" / "x.json", "directory": tmp_path,
+            "empty": ""}[where]
+    reason = "Is a directory" if where == "directory" else "No such file or directory"
     result = runner.invoke(
         main, ["validate", "--B", "1143/40", "--p", "3/5", "--out", str(path)]
     )

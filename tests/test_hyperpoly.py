@@ -429,8 +429,28 @@ def test_form_invariants_enforced():
 
 def test_domain_errors():
     f0 = eigenfunction(0, PR)
-    for fn in (evaluate, evaluate_scaled, evaluate_derivatives):
+    for fn in (evaluate, evaluate_scaled, evaluate_derivatives,
+               lambda f, x: sample_forms([f], x)):
         with pytest.raises(ValueError):
             fn(f0, 0.0)
         with pytest.raises(ValueError):
             fn(f0, np.array([1.0, -2.0]))
+
+
+def test_sample_forms_needs_forms_with_one_p():
+    xs = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="one p"):
+        sample_forms([], xs)
+    with pytest.raises(ValueError, match="one p"):
+        sample_forms([eigenfunction(1, PR), eigenfunction(1, make_params(10, "1/4"))], xs)
+
+
+def test_derivative_psi_matches_evaluate_bit_for_bit():
+    # the eigenfunction-residual grid of validate at a deep well
+    params = make_params(20, "1/4")
+    p = float(params.p)
+    xs = np.linspace(0.05 / p, 24.0 / p, 4000)
+    for n in range(max_bound_states(params) + 1):
+        form = eigenfunction(n, params)
+        psi = evaluate_derivatives(form, xs)[0]
+        assert np.array_equal(psi.view(np.int64), evaluate(form, xs).view(np.int64))
