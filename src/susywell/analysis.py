@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -60,14 +59,9 @@ def min_polynomial(t, B, p):
     real root > 1 satisfies t = exp(p*x0) with x0 the well minimum.
     """
     coeffs = minimum_polynomial_coefficients(B, p)
-    if isinstance(t, Fraction) or isinstance(t, int):
-        t2 = Fraction(t) ** 2
-        acc = Fraction(0)
-    else:
-        t2 = float(t) ** 2
-        acc = 0.0
-        coeffs = tuple(float(c) for c in coeffs)
-    for c in reversed(coeffs):
+    t2 = t ** 2
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * t2 + c
     return acc
 

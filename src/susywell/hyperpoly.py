@@ -187,11 +187,15 @@ def _float_terms(form: HyperbolicForm, order: int) -> list[tuple]:
     return rows
 
 
-def check_float64(forms) -> None:
-    """Float64RangeError unless every form and its first two derivatives
-    can be evaluated in float64; lets a caller fail before other work."""
+def check_float64(forms) -> list[HyperbolicForm]:
+    """The forms as a list.  Float64RangeError unless each form and its
+    first two derivatives fit float64; an iterator is tested form by form as
+    it is drawn, so no form past the first that overflows is built."""
+    checked = []
     for form in forms:
         _float_terms(form, 2)
+        checked.append(form)
+    return checked
 
 
 def _log_scale(form: HyperbolicForm, u, log_cosh_3u, log_sinh_u):

@@ -248,7 +248,10 @@ def eigenvector_for(H: DiscretizedHamiltonian, eigenvalue: float) -> EigenResult
 
     Returns the trapezoid-unit-norm vector, its node count, its index (the
     Sturm count just below the Rayleigh quotient lambda), and the 2-norm
-    residual ||Hv - lambda v|| for a unit 2-norm v.
+    residual ||Hv - lambda v|| for a unit 2-norm v.  The vector's sign is
+    left as the iteration ends: the seeded start keeps it deterministic,
+    index, node count and residual do not depend on it, and a caller that
+    compares with another vector aligns the sign itself.
     """
     n = H.diag.shape[0]
     norm = H.norm_bound()
@@ -279,8 +282,6 @@ def eigenvector_for(H: DiscretizedHamiltonian, eigenvalue: float) -> EigenResult
             f"inverse iteration failed to converge (residual {residual:.3e}, "
             f"tolerance {tol:.3e})"
         )
-    if v[int(np.argmax(np.abs(v)))] < 0.0:
-        v = -v
     index = int(count_cuts(H, [rayleigh - 1e-9 * norm]).counts[0])
     nodes = count_nodes(v)
     v_unit = v / np.sqrt(H.grid.h)  # trapezoid-weight unit norm
@@ -321,8 +322,6 @@ def inner_product(values_a: np.ndarray, values_b: np.ndarray, grid: RadialGrid) 
 def count_nodes(values: np.ndarray) -> int:
     """Strict sign changes, ignoring entries below 1e-12 * max|values|."""
     scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        return 0
     kept = values[np.abs(values) > 1e-12 * scale]
     if kept.size < 2:
         return 0

@@ -1,10 +1,10 @@
 """Superpotential, partner potentials, and the closed-form well.
 
 Evaluators take numpy arrays on the half line x > 0 and return arrays; a
-scalar x is read as a 0-d array.  Large arguments (p*x beyond ~300) are
-routed through asymptotic forms so cosh and sinh never overflow double
-precision; below p*x = 1e-8 the 1/x^2 wall is reported as +inf instead of
-a garbage float.
+scalar x is read as a 0-d array.  sech^2 and csch^2 come out as exactly 0
+once cosh^2 or sinh^2 overflows double precision (argument beyond ~355);
+below p*x = 1e-8 the 1/x^2 wall is reported as +inf instead of a garbage
+float.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import numpy as np
 
 from .params import LadderParams, ModelParams, ladder, shift_constant
 
-# cosh(z)**2 overflows for z above ~355; switch to asymptotics well before.
-_LARGE_ARG = 300.0
 # below this p*x the potential is reported as the +inf singular wall
 SINGULAR_CUTOFF = 1e-8
 
@@ -34,19 +32,15 @@ def coth(z):
 
 
 def sech_squared(z):
-    """sech(z)^2 with the 4*exp(-2z) tail used once cosh would overflow."""
-    z = np.asarray(z, dtype=float)
-    safe = np.minimum(z, _LARGE_ARG)
-    out = 1.0 / np.cosh(safe) ** 2
-    return np.where(z > _LARGE_ARG, 4.0 * np.exp(-2.0 * np.abs(z)), out)
+    """sech(z)^2; exactly 0 once cosh(z)^2 overflows (|z| beyond ~355)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.cosh(z) ** 2
 
 
 def csch_squared(z):
-    """csch(z)^2 for z > 0 with the 4*exp(-2z) tail for large z."""
-    z = np.asarray(z, dtype=float)
-    safe = np.minimum(z, _LARGE_ARG)
-    out = 1.0 / np.sinh(safe) ** 2
-    return np.where(z > _LARGE_ARG, 4.0 * np.exp(-2.0 * z), out)
+    """csch(z)^2 for z > 0; exactly 0 once sinh(z)^2 overflows (z beyond ~355)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.sinh(z) ** 2
 
 
 def log_cosh(z):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,16 +23,13 @@ def raw_energy_formula(n: int, params: ModelParams) -> Fraction:
 
 
 def max_bound_states(params: ModelParams) -> int:
-    """Largest n with negative decay exponent: floor(r) for r = level_ratio
-    = (2B+3p)/(4p), minus one more when r is exactly an integer (the
-    marginal state has decay exponent exactly zero).
+    """Largest n with negative decay exponent 4np - (2B+3p): ceil(r) - 1 for
+    r = level_ratio = (2B+3p)/(4p), which is floor(r), or r - 1 when r is
+    an integer (the marginal state has decay exponent exactly zero).
 
-    The integer test is exact rational arithmetic, never an epsilon compare.
+    Exact: math.ceil of the Fraction, never a float or an epsilon compare.
     """
-    r = level_ratio(params)
-    if r.denominator == 1:
-        return int(r) - 1
-    return r.numerator // r.denominator
+    return math.ceil(level_ratio(params)) - 1
 
 
 def state_decay_rate(params: ModelParams, n: int) -> Fraction:

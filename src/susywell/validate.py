@@ -382,8 +382,8 @@ def run_validation(
             f"{grid.n_points} points are too few: the oracle solve "
             f"needs at least n_max + 4 = {m} grid points"
         )
-    forms = [hyperpoly.eigenfunction(n, params) for n in range(n_max + 1)]
-    hyperpoly.check_float64(forms)  # the checks evaluate psi, psi' and psi''
+    forms = hyperpoly.check_float64(  # the checks evaluate psi, psi' and psi''
+        hyperpoly.eigenfunction(n, params) for n in range(n_max + 1))
     H = oracle.build_hamiltonian(params, grid)
     xs = grid.points()
     psi01 = tuple(hyperpoly.sample_forms(forms[:2], xs))

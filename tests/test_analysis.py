@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from susywell import analysis
 from susywell.analysis import (
     find_minimum,
     min_polynomial,
@@ -82,6 +85,25 @@ def test_polynomial_reflection_identity_exact():
         lhs = min_polynomial(t, b, p)
         rhs = t**20 * min_polynomial(1 / t, b, p)
         assert lhs == rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.0, 1e150), st.sampled_from([(7, 0.5), (Fraction(1143, 40), Fraction(3, 5))]))
+def test_float_polynomial_is_the_float_coefficient_horner_loop(t, well):
+    # float t: each Fraction coefficient enters the loop as float(c)
+    coeffs = [float(c) for c in minimum_polynomial_coefficients(*well)]
+    t2 = t ** 2
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t2 + c
+    got = min_polynomial(t, *well)
+    assert type(got) is float and got.hex() == acc.hex()
+
+
+def test_polynomial_overflow_reads_as_an_infinite_probe():
+    with pytest.raises(OverflowError):
+        min_polynomial(1e155, PR.B, PR.p)
+    assert analysis._probe(400.0, PR.B, PR.p) == math.inf
 
 
 def test_root_probe_identifies_exponential_convention():

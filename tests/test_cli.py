@@ -273,6 +273,21 @@ def test_figure_builds_no_form_past_the_first_that_overflows(runner, monkeypatch
     assert built == [0, 1, 2, 3]
 
 
+def test_validate_builds_no_form_past_the_first_that_overflows(runner, monkeypatch):
+    candidate_form = hyperpoly.candidate_form
+
+    def capped(n, params):
+        assert n < 3, f"form {n} built after form 2 overflowed"
+        return candidate_form(n, params)
+
+    monkeypatch.setattr(hyperpoly, "candidate_form", capped)
+    # n_max = 500; form 2 (top index 4) is the first whose derivatives overflow
+    result = runner.invoke(main, ["validate", "--B", "1e100", "--p", "1e97"])
+    assert result.exit_code == 2
+    assert result.stderr == ("invalid parameters: coefficients of the exact form with "
+                             "top index 4 overflow float64\n")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_figure_levels_without_resolvable_samples(runner, fmt):
     # every state underflows to 0 this close to the origin: no level lines

@@ -6,10 +6,12 @@ import pytest
 
 from susywell.params import ladder, make_params, shift_constant
 from susywell.potential import (
+    csch_squared,
     partner_minus,
     partner_plus,
     potential_closed_form,
     potential_derivative,
+    sech_squared,
     shape_invariance_residual,
     superpotential,
     superpotential_derivative,
@@ -95,6 +97,21 @@ def test_overflow_safe_far_field():
         w = superpotential(800.0, A0, PR.p)
     assert np.isfinite(v) and v == pytest.approx(240.25, abs=1e-12)
     assert np.isfinite(w)
+
+
+@pytest.mark.parametrize("fn", [sech_squared, csch_squared])
+def test_squared_reciprocals_past_the_tail_region(fn):
+    # the plain reciprocal runs up to the overflow of cosh^2 / sinh^2 and
+    # agrees there with the asymptotic tail 4 exp(-2z)
+    for z in (300.5, 320.0, 354.0):
+        v = fn(z)
+        assert 0.0 < v < math.inf
+        assert v == pytest.approx(4.0 * math.exp(-2.0 * z), rel=1e-12)
+    # past it the reciprocal of inf is exactly 0, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [fn(z) for z in (356.0, 1e3, 1e6)] == [0.0, 0.0, 0.0]
+        assert np.all(fn(np.array([356.0, 1e3, 1e6])) == 0.0)
 
 
 def test_singular_sentinel_near_origin():

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from susywell.cli import main
-from susywell.params import ladder, ladder_offset, make_params
+from susywell.params import ladder, ladder_offset, level_ratio, make_params
 from susywell.spectrum import (
     full_spectrum,
     max_bound_states,
@@ -44,6 +46,23 @@ def test_integer_branch_is_exact_not_epsilon():
     assert max_bound_states(pr) == 6
     # marginal state beyond the cutoff sits exactly at zero decay
     assert state_decay_rate(pr, 7) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@example(r=Fraction(3), p=Fraction(1))  # (B, p) = (9/2, 1)
+@example(r=Fraction(7), p=Fraction(1, 2))
+@given(
+    # r > 5/4 is B > p
+    r=st.one_of(st.integers(2, 10**6).map(Fraction),
+                st.fractions(Fraction(5, 4), 10**6, max_denominator=10**4)
+                .filter(lambda r: r > Fraction(5, 4))),
+    p=st.fractions(Fraction(1, 10**4), 10**4, max_denominator=10**4),
+)
+def test_cutoff_is_floor_or_one_below_an_integer_ratio(r, p):
+    pr = make_params(p * (4 * r - 3) / 2, p)
+    assert level_ratio(pr) == r
+    expect = r.numerator - 1 if r.denominator == 1 else r.numerator // r.denominator
+    assert max_bound_states(pr) == expect
 
 
 def test_full_spectrum_reference():
