@@ -3,8 +3,15 @@
 The Sturm count vectorizes across the batch of shifts; the recurrence
 itself is sequential in the matrix index, so it walks the rows in blocks:
 each block's `diag - shift` entries are filled by one broadcast subtract,
-the pivots are updated in place one row at a time, and the negative
-pivots of the whole block are counted at once.  The scratch block is
+the pivots are updated in place one row at a time, two ufunc calls a row
+(divide, subtract), and the negative pivots of the whole block are
+counted at once.  That walk leaves out the pivot clamp of Demmel,
+Dhillon & Ren (1995); one vectorized test per block then looks for a
+pivot below pivmin in magnitude, and only a block that has one is walked
+again, with the clamp on every row, from the row after the first such
+pivot, which is clamped.  By induction on the rows, every pivot before it
+is already the clamped recurrence's, so the counts are those of the
+row-at-a-time clamped walk, bit for bit.  The scratch block is
 `_BLOCK_ROWS` rows by at most `SHIFT_BATCH` shifts; wider batches are
 counted in column chunks.  A count stops early, with the count of the
 full walk, once every later row is diagonally dominant for the batch's
@@ -24,7 +31,7 @@ NUMBA_ENABLED = False
 _SAFE_MIN = float(np.finfo(np.float64).tiny)
 
 # A bisection pass sends at most SHIFT_BATCH shifts per count; with
-# _BLOCK_ROWS rows the count's scratch block stays near 256 KB.
+# _BLOCK_ROWS rows each scratch block of the count stays near 256 KB.
 SHIFT_BATCH = 256
 _BLOCK_ROWS = 128
 # relative margin of the early-exit tests; see _dominance
@@ -82,37 +89,57 @@ def _dominance(diag, off_squared, pivmin):
     return e * (1.0 + _MARGIN), np.minimum.accumulate(slack[::-1])[::-1]
 
 
+@np.errstate(all="ignore")  # only the signs of the pivots leave the walk
 def _count_below(diag, off_squared, shifts, pivmin, edge, tail):
     """sturm_counts for at most SHIFT_BATCH shifts; every pivot is
     d_i = (diag_i - shift) - off_squared_{i-1} / d_{i-1}, and any pivot
     smaller than pivmin in magnitude is replaced by -pivmin.  The walk
     stops at a block edge where _dominance shows that no later pivot
-    counts (a NaN shift or bound never stops it)."""
+    counts (a NaN shift or bound never stops it).
+
+    Each block is walked first without the clamp, two ufunc calls a row.
+    Up to the first row r where a stored pivot is below pivmin in
+    magnitude, the clamp would not have changed a pivot, so those rows
+    already hold the clamped recurrence's pivots; row r does too once its
+    small pivots are clamped.  Only rows r+1.. are then walked again, with
+    the clamp on every row, so a block makes at most one fallback pass."""
     n, width = diag.shape[0], shifts.shape[0]
     top = shifts.max(initial=-np.inf)
     pivots = np.empty((_BLOCK_ROWS + 1, width))  # row 0: the pivot before the block
     rows = list(pivots)
     floor = np.full(width, pivmin)
+    clamped = np.full(width, -pivmin)
     off_rows = np.broadcast_to(off_squared[:, None], (max(n - 1, 0), width))
     tmp = np.empty(width)
     small = np.empty(width, dtype=bool)
+    magnitude = np.empty((_BLOCK_ROWS, width))
+    low = np.empty((_BLOCK_ROWS, width), dtype=bool)
     carry = rows[0]
     np.subtract(diag[0], shifts, out=carry)
     np.less(np.abs(carry, out=tmp), floor, out=small)
-    carry[small] = -pivmin
+    np.copyto(carry, clamped, where=small)
     counts = (carry < 0.0).astype(np.int64)
     for start in range(1, n, _BLOCK_ROWS):
         if top <= tail[start] and (carry >= edge[start - 1]).all():
             break
         stop = min(start + _BLOCK_ROWS, n)
-        block = pivots[1:stop - start + 1]
+        size = stop - start
+        block = pivots[1:size + 1]
         np.subtract(diag[start:stop, None], shifts, out=block)
         for prev, cur, off in zip(rows, rows[1:], off_rows[start - 1:stop - 1]):
-            np.divide(off, prev, out=tmp)
-            np.subtract(cur, tmp, out=cur)
-            np.abs(cur, out=tmp)
-            np.less(tmp, floor, out=small)
-            cur[small] = -pivmin
+            np.divide(off, prev, tmp)
+            np.subtract(cur, tmp, cur)
+        below = low[:size]
+        np.less(np.abs(block, out=magnitude[:size]), pivmin, out=below)
+        if below.any():
+            r = int(below.any(axis=1).argmax())
+            np.copyto(block[r], clamped, where=below[r])
+            np.subtract(diag[start + r + 1:stop, None], shifts, out=block[r + 1:])
+            for prev, cur, off in zip(rows[r + 1:], rows[r + 2:], off_rows[start + r:stop - 1]):
+                np.divide(off, prev, tmp)
+                np.subtract(cur, tmp, cur)
+                np.less(np.abs(cur, tmp), floor, small)
+                np.copyto(cur, clamped, where=small)
         counts += np.count_nonzero(block < 0.0, axis=0)
         carry[...] = block[-1]
     return counts

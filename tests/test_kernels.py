@@ -6,6 +6,7 @@ import pytest
 from susywell import kernels, oracle
 from susywell.params import make_params
 from susywell.spectrum import full_spectrum
+from sturm_reference import reference_counts
 
 
 def _random_tridiag(rng, n):
@@ -39,19 +40,6 @@ def test_counts_match_dense_eigenvalues():
         assert counts.tolist() == expect
 
 
-def _reference_counts(diag, off_squared, shifts):
-    # the row-at-a-time recurrence the blocked count must reproduce exactly
-    pivmin = kernels.pivot_floor(off_squared)
-    d = diag[0] - shifts
-    d = np.where(np.abs(d) < pivmin, -pivmin, d)
-    counts = (d < 0.0).astype(np.int64)
-    for i in range(1, diag.shape[0]):
-        d = (diag[i] - shifts) - off_squared[i - 1] / d
-        d = np.where(np.abs(d) < pivmin, -pivmin, d)
-        counts += d < 0.0
-    return counts
-
-
 @pytest.mark.parametrize("n_shifts", [1, 300])
 @pytest.mark.parametrize(
     "n",
@@ -68,7 +56,7 @@ def test_blocked_counts_match_reference(n, n_shifts):
         shifts[: n_shifts // 2] += rng.uniform(-0.5, 0.5, size=n_shifts // 2)
     got = kernels.sturm_counts(diag, off2, shifts)
     assert got.dtype == np.int64
-    assert np.array_equal(got, _reference_counts(diag, off2, shifts))
+    assert np.array_equal(got, reference_counts(diag, off2, shifts))
 
 
 def _batched_counts(diag, off_squared, batches):
@@ -90,7 +78,7 @@ def test_early_exit_counts_match_reference_on_validate_hamiltonians(b, p):
     near = levels[:, None] * (1.0 + np.concatenate((spread, -spread)))
     top = float(full_spectrum(params).asymptote)
     batches = [*near, *np.sort(rng.uniform(levels[0] - 1.0, top, size=40)).reshape(10, 4)]
-    expect = _reference_counts(H.diag, off2, np.concatenate(batches))
+    expect = reference_counts(H.diag, off2, np.concatenate(batches))
     assert np.array_equal(_batched_counts(H.diag, off2, batches), expect)
 
 
@@ -148,7 +136,7 @@ def test_early_exit_counts_match_reference_with_zero_off_diagonals():
     off2 = off * off
     shifts = np.concatenate((rng.uniform(0.0, 1.0, size=200), rng.uniform(-8.0, 8.0, size=40)))
     batches = [*shifts[:200, None], *shifts[200:].reshape(4, 10)]
-    expect = _reference_counts(diag, off2, shifts)
+    expect = reference_counts(diag, off2, shifts)
     assert np.array_equal(_batched_counts(diag, off2, batches), expect)
 
 
@@ -168,8 +156,8 @@ def test_walk_goes_on_past_a_dominant_tail_when_the_edge_pivot_is_small():
         pivot = diag[i] - off2[i - 1] / pivot
     diag[edge] = off2[edge - 1] / pivot + 0.25
     shifts = np.array([0.0, -0.5])
-    expect = _reference_counts(diag, off2, shifts)
-    head = _reference_counts(diag[:edge + 1], off2[:edge], shifts)
+    expect = reference_counts(diag, off2, shifts)
+    head = reference_counts(diag[:edge + 1], off2[:edge], shifts)
     assert expect[0] == head[0] + 1  # the tail does count at shift 0
     assert np.array_equal(kernels.sturm_counts(diag, off2, shifts), expect)
 
@@ -196,7 +184,7 @@ def test_shift_on_the_dominance_bound_walks_to_the_last_row(case):
         diag, off2 = np.array([1.0 + 1e-8, 1.0 + 1e10, 1e10]), np.array([1.0, 1e20])
         shift, count = -1e-280, 1
     shifts = np.array([shift])
-    expect = _reference_counts(diag, off2, shifts)
+    expect = reference_counts(diag, off2, shifts)
     assert expect.tolist() == [count]
     assert np.array_equal(kernels.sturm_counts(diag, off2, shifts), expect)
 
@@ -207,8 +195,66 @@ def test_counts_clamp_exact_pivot():
     off2 = np.array([0.25])
     shifts = np.array([1.0, 0.25, 2.0])
     got = kernels.sturm_counts(diag, off2, shifts)
-    assert np.array_equal(got, _reference_counts(diag, off2, shifts))
+    assert np.array_equal(got, reference_counts(diag, off2, shifts))
     assert got.tolist() == [1, 0, 2]  # eigenvalues 0.5 and 1.5
+
+
+# a batch of shifts around 0 that a clamp at shift 0 must not disturb
+_MIXED_SHIFTS = np.array([0.0, np.nan, -0.75, np.inf, 0.0, 1.5, -np.inf, 3.0, np.nan])
+
+
+def _zero_pivots_at(rows, n, seed):
+    # a random matrix whose pivot at shift 0 is exactly 0.0 at each of the
+    # given rows: diag_i = off_squared_{i-1} / d_{i-1} there, with d_{i-1}
+    # the clamped pivot before it, and fl(x - x) = 0
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(-3.0, 3.0, size=n)
+    off2 = rng.uniform(0.5, 2.0, size=n - 1)
+    pivmin = kernels.pivot_floor(off2)
+    d = diag[0]
+    for i in range(1, n):
+        if i in rows:
+            diag[i] = off2[i - 1] / d
+        d = diag[i] - off2[i - 1] / d
+        assert (d == 0.0) == (i in rows)
+        d = -pivmin if abs(d) < pivmin else d
+    return diag, off2
+
+
+_B = kernels._BLOCK_ROWS  # block k walks rows 1 + k B .. (k + 1) B
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param({1 + _B}, id="first-row-of-a-block"),
+    pytest.param({2 * _B}, id="last-row-of-a-block"),
+    pytest.param({3 * _B + 40}, id="last-row-of-the-matrix"),
+    pytest.param({1 + _B + 5, 1 + _B + 60}, id="two-rows-of-one-block"),
+    pytest.param({7, 2 * _B, 2 * _B + 1, 3 * _B + 40}, id="rows-of-four-blocks"),
+])
+def test_clamped_pivots_match_reference(rows):
+    # without the clamp a zero pivot turns the next one into -inf (or NaN
+    # where off_squared is 0), so the count goes wrong from that row on
+    # unless the walk restarts there
+    diag, off2 = _zero_pivots_at(rows, 3 * _B + 41, seed=min(rows))
+    expect = reference_counts(diag, off2, _MIXED_SHIFTS)
+    assert np.array_equal(kernels.sturm_counts(diag, off2, _MIXED_SHIFTS), expect)
+    assert np.array_equal(kernels.sturm_counts(diag, off2, np.zeros(1)), expect[:1])
+
+
+@pytest.mark.parametrize("shifts", [
+    pytest.param(np.zeros(256), id="zeros"),
+    pytest.param(np.array([0.0, 1e-310, np.nan, -1e-310, np.inf, 0.0, -np.inf]), id="mixed"),
+])
+def test_every_pivot_clamped_matches_reference(shifts):
+    # the zero matrix at shift 0: every pivot is 0.0 - 0.0 / -pivmin = 0.0,
+    # is clamped to -pivmin and counts; unclamped, 0.0 / 0.0 is NaN.  At a
+    # shift of +-1e-310 every pivot is below pivmin also unclamped, so a
+    # block's first small pivot is in its first row and its last in its last
+    n = 4 * _B + 3
+    diag, off2 = np.zeros(n), np.zeros(n - 1)
+    expect = reference_counts(diag, off2, shifts)
+    assert expect[0] == n
+    assert np.array_equal(kernels.sturm_counts(diag, off2, shifts), expect)
 
 
 def test_solve_residual():
