@@ -51,6 +51,8 @@ def _strict(tree):
 
 # what `%.12g` writes for a value that is not finite; JSON writes null
 _NULLS = {"inf": "null", "-inf": "null", "nan": "null"}
+# the smallest normal float64: below it, `%.12g` writes more digits than repr
+_TINY = sys.float_info.min
 # a _Raw value's stand-in while json.dumps writes the rest of its payload
 _HOLE = "\0"
 # one `eigenfunction` sample as json.dumps lays it out inside a top-level list
@@ -63,11 +65,22 @@ class _Raw(str):
 
 def _json_numbers(values) -> list[str]:
     """The JSON token json.dumps writes for sig12(x) of each value: its
-    float repr, or null when the value is not finite.  One C-level format
-    rounds the whole array."""
+    float repr, or null when the value is not finite.
+
+    One C-level format rounds the whole array.  For a normal double it
+    writes the digits of the repr of the value it parses to, since two
+    decimals of at most 15 digits never round to one normal double; only
+    integral values (repr adds ".0", and writes 1e12 <= |x| < 1e16
+    positionally), subnormals (fewer digits) and non-finite values are
+    rewritten."""
     values = np.ravel(values).tolist()
-    text = ("%.12g " * len(values)) % tuple(values)
-    return [_NULLS.get(t) or repr(float(t)) for t in text.split()]
+    tokens = (("%.12g " * len(values)) % tuple(values)).split()
+    rounded = list(map(float, tokens))
+    r = np.abs(rounded)
+    relaid = ~np.isfinite(r) | (r < 1e16) & ((r == np.floor(r)) | (r < _TINY))
+    for i in np.flatnonzero(relaid).tolist():
+        tokens[i] = _NULLS.get(tokens[i]) or repr(rounded[i])
+    return tokens
 
 
 def _json_list(items: list[str], depth: int) -> str:
@@ -254,6 +267,8 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
             err=True,
         )
         sys.exit(EXIT_INDEX_OUT_OF_RANGE)
+    # an overflowing top coefficient exits 2 before the chain is built
+    hyperpoly.check_top_coefficient(state_index, params)
     form = hyperpoly.eigenfunction(state_index, params)
     xs = grid.points()
     values = hyperpoly.evaluate(form, xs)

@@ -88,22 +88,27 @@ def apply_creation(form: HyperbolicForm, target: LadderParams) -> HyperbolicForm
     the sums run on the integer numerators, and the output is reduced by
     one gcd over its new denominator.
     """
-    p = form.p
-    u = target.A - 3 * p * form.sigma
-    v = target.B + p * form.tau
-    if form.tau - 1 <= 0:
+    p, sigma, tau, A, B = form.p, form.sigma, form.tau, target.A, target.B
+    if tau - 1 <= 0:
         raise ValueError(
             "creation operator would break regularity at the origin "
             "(tau - 1 <= 0); the form is already past the physical ladder"
         )
-    # each product-to-sum image carries a factor 1/4; alpha, beta and p/2
-    # go over the denominator `step`, the coefficients over form.den
-    alpha = (u - v) / 4
-    beta = -(u + v) / 4
-    half_p = p / 2
-    step = math.lcm(alpha.denominator, beta.denominator, half_p.denominator)
-    alpha, beta, half_p = (f.numerator * (step // f.denominator)
-                           for f in (alpha, beta, half_p))
+    # each product-to-sum image carries a factor 1/4; alpha = (u - v)/4,
+    # beta = -(u + v)/4 and p/2 go over one integer denominator `step`, the
+    # coefficients over form.den.  u = A - 3p sigma and v = B + p tau are
+    # numerators over `step`/4, cut by one gcd to the lcm of the three's own
+    # denominators
+    pd_sigma = p.denominator * sigma.denominator
+    pd_tau = p.denominator * tau.denominator
+    AB = A.denominator * B.denominator
+    u = (A.numerator * B.denominator * pd_sigma
+         - 3 * p.numerator * sigma.numerator * AB) * pd_tau
+    v = (B.numerator * A.denominator * pd_tau + p.numerator * tau.numerator * AB) * pd_sigma
+    half_p = 2 * p.numerator * AB * sigma.denominator * pd_tau
+    step = 4 * AB * pd_sigma * pd_tau
+    g = math.gcd(step, u - v, u + v, half_p)
+    alpha, beta, half_p, step = (u - v) // g, -(u + v) // g, half_p // g, step // g
     out = [0] * (len(form.coeffs) + 2)
     for k, a in enumerate(form.coeffs):
         if a == 0:
@@ -138,6 +143,29 @@ def candidate_form(n: int, params: ModelParams) -> HyperbolicForm:
     for k in range(n - 1, -1, -1):
         form = apply_creation(form, ladder(params, k))
     return form
+
+
+def check_top_coefficient(n: int, params: ModelParams) -> Fraction:
+    """The top coefficient of the n-th ladder form, with no form built;
+    Float64RangeError, as `_float_terms` raises it for that form, when it
+    overflows float64.
+
+    Only the k = K term of a creation step feeds out[K + 2], so each step
+    multiplies it by alpha - K p/2: down the ladder from rung n, by
+    (d0 - 2mp)/2 with d0 = A - B, m = 2n-1, ..., n, and twice that at the
+    first step, whose k + 2 and |k - 2| images both land on index 2.
+    """
+    if n == 0:
+        return Fraction(1)  # the ground form's one coefficient
+    d0, p = params.A - params.B, params.p
+    num = 2 * math.prod(d0.numerator * p.denominator - 2 * m * p.numerator * d0.denominator
+                        for m in range(n, 2 * n))
+    top = Fraction(num, (2 * d0.denominator * p.denominator) ** n)
+    try:
+        float(top)
+    except OverflowError:
+        raise _overflow(2 * n) from None
+    return top
 
 
 def eigenfunction(n: int, params: ModelParams) -> HyperbolicForm:
@@ -180,11 +208,14 @@ def _float_terms(form: HyperbolicForm, order: int) -> list[tuple]:
         rows.append((k, a, a * rate, a * rate * rate)[:order + 2])
     for column in list(zip(*rows))[1:]:
         if not math.isfinite(sum(map(abs, column))):
-            raise Float64RangeError(
-                f"coefficients of the exact form with top index {form.top_index} "
-                "overflow float64"
-            )
+            raise _overflow(form.top_index)
     return rows
+
+
+def _overflow(top_index: int) -> Float64RangeError:
+    return Float64RangeError(
+        f"coefficients of the exact form with top index {top_index} overflow float64"
+    )
 
 
 def check_float64(forms) -> list[HyperbolicForm]:
@@ -224,11 +255,14 @@ def _scaled_series(forms, x, order: int):
     flat = u.reshape(-1)
     width = 2 * max(form.top_index for form, _ in rows) + 1
     block = max(1, _TABLE_ENTRIES // width)
-    table = np.empty((width, min(block, flat.size)))
+    # the exponential table, then two scratch rows that each term of the
+    # value's sum runs through in place
+    table = np.empty((width + 2, min(block, flat.size)))
     sums = [[np.zeros_like(u) for _ in range(order + 1)] for _ in rows]
     for start in range(0, flat.size, block):
         ub = flat[start:start + block]
         tb = table[:, :ub.size]
+        c, t = tb[width], tb[width + 1]
         for j in range(width):
             np.exp(-2.0 * j * ub, out=tb[j])
         for (form, terms), parts in zip(rows, sums):
@@ -236,8 +270,10 @@ def _scaled_series(forms, x, order: int):
             K = form.top_index
             for k, *a in terms:
                 lo, hi = tb[K - k], tb[K + k]
-                c = 0.5 * (lo + hi)
-                out[0] += a[0] * c
+                np.add(lo, hi, out=c)
+                c *= 0.5
+                np.multiply(c, a[0], out=t)
+                out[0] += t
                 if order > 0:
                     out[1] += a[1] * (0.5 * (lo - hi))
                 if order > 1:

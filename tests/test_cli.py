@@ -2,6 +2,7 @@ import json
 import math
 import time
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -79,7 +80,11 @@ def test_couplings_outside_float64_are_parameter_errors(runner, command, couplin
       "exact form with top index 2 overflow float64"),
      (["minimum", "--B", "1e150", "--p", "1e149"], "V' overflows float64"),
      (["minimum", "--B", "1e-110", "--p", "1e-111"], "V' underflows float64"),
-     (["minimum", "--B", "1e-300", "--p", "1e-301"], "V' underflows float64")],
+     (["minimum", "--B", "1e-300", "--p", "1e-301"], "V' underflows float64"),
+     # n_max = 3500; the top coefficient of form 1000 overflows, and is
+     # tested before the 1000-step creation chain is built
+     (["eigenfunction", "--B", "7", "--p", "1/1000", "-n", "1000"],
+      "exact form with top index 2000 overflow float64")],
 )
 def test_capped_wells_fail_before_any_work(runner, args, message):
     start = time.perf_counter()
@@ -502,7 +507,15 @@ def test_solver_failure_in_validate_exits_1_with_one_line(runner, monkeypatch):
 # the tests below hold that text to the bytes json.dumps(indent=2) would give
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
          1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e22,
-         123456789012.0, 999999999999.5, 1e-4, 1e-5, math.inf, -math.inf, math.nan]
+         123456789012.0, 999999999999.5, 1e-4, 1e-5, math.inf, -math.inf, math.nan,
+         1e12, 1e15, 9.999999999995e15, 999999999999.9, 2.0000000000001,
+         2.225073858507201e-308]
+# a mantissa times 10^e, e in -330..310: every layout band of the writer
+# (subnormals, integers, 1e12 <= |x| < 1e16, overflow to inf), where
+# st.floats() rarely lands
+BANDED = st.builds(lambda m, e: float(Decimal(m).scaleb(e)),
+                   st.one_of(st.floats(-10, 10), st.integers(-10**17, 10**17)),
+                   st.integers(-330, 310))
 
 
 def _token(x: float) -> str:
@@ -511,7 +524,7 @@ def _token(x: float) -> str:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(), max_size=20))
+@given(st.lists(st.one_of(st.floats(), BANDED), max_size=20))
 @example(EDGES)
 @example([])
 def test_json_numbers_match_the_encoder(values):

@@ -8,12 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from susywell.cli import main
 from susywell.hyperpoly import (
     HyperbolicForm,
     apply_creation,
     candidate_form,
+    check_top_coefficient,
     decay_exponent,
     eigenfunction,
     evaluate,
@@ -26,6 +29,7 @@ from susywell.hyperpoly import (
 from susywell.params import LadderParams, ladder, make_params
 from susywell.potential import potential_closed_form, superpotential
 from susywell.spectrum import full_spectrum, max_bound_states
+from series_reference import reference_samples
 
 PR = make_params(7, 0.5)
 
@@ -139,6 +143,56 @@ def test_candidate_form_matches_four_term_recursion_on_deep_wells(b, p, n_max):
     assert candidate_form(n_max, params) == form
     assert (form.sigma, form.tau) == (ground.sigma - n_max, ground.tau - n_max)
     assert _fractions(form) == coeffs
+
+
+def _positive(fraction):
+    return fraction.filter(lambda f: f > 0)
+
+
+# any rational exponents, p and target couplings, on a series that need not
+# come from the ladder or be reduced; tau <= 1 must hit the regularity guard
+@settings(max_examples=300, deadline=None)
+@given(sigma=st.fractions(-60, 60, max_denominator=48),
+       tau=_positive(st.fractions(0, 60, max_denominator=48)),
+       p=_positive(st.fractions(0, 20, max_denominator=48)),
+       A=st.fractions(-200, 200, max_denominator=96),
+       B=st.fractions(-200, 200, max_denominator=96),
+       coeffs=st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=9)
+       .filter(lambda c: len(c) == 1 or c[-1] != 0),
+       den=st.integers(1, 10**20))
+@example(sigma=Fraction(-15), tau=Fraction(14), p=Fraction(1, 2), A=Fraction(45, 2),
+         B=Fraction(7), coeffs=[1], den=1)
+@example(sigma=Fraction(0), tau=Fraction(3), p=Fraction(1), A=Fraction(0),
+         B=Fraction(0), coeffs=[0], den=1)
+@example(sigma=Fraction(1), tau=Fraction(1), p=Fraction(1), A=Fraction(1),
+         B=Fraction(1), coeffs=[1], den=1)
+def test_apply_creation_matches_four_term_formula_on_any_rationals(
+        sigma, tau, p, A, B, coeffs, den):
+    form = HyperbolicForm(sigma=sigma, tau=tau, p=p, coeffs=tuple(coeffs), den=den)
+    target = LadderParams(A=A, B=B)
+    if tau <= 1:
+        with pytest.raises(ValueError, match=r"regularity at the origin \(tau - 1 <= 0\)"):
+            apply_creation(form, target)
+        return
+    expect = _creation_four_term(form, target, _fractions(form))
+    if expect == (0,):
+        with pytest.raises(ValueError, match="annihilated"):
+            apply_creation(form, target)
+        return
+    out = apply_creation(form, target)
+    assert _fractions(out) == expect
+    assert out.den > 0 and math.gcd(out.den, *out.coeffs) == 1
+    assert (out.sigma, out.tau, out.p) == (sigma - 1, tau - 1, p)
+
+
+@pytest.mark.parametrize("b, p, n", [
+    (7, "1/2", 0), (7, "1/2", 3), ("3/5", "1/2", 1), ("1143/40", "3/5", 24),
+    ("1261/64", "1/4", 40), (7, "1/40", 140),
+])
+def test_top_coefficient_closed_form_matches_the_built_form(b, p, n):
+    params = make_params(b, p)
+    form = eigenfunction(n, params)
+    assert check_top_coefficient(n, params) == Fraction(form.coeffs[-1], form.den)
 
 
 # sha256 of the reduced coefficients of the forms n = 0..n_max, each
@@ -379,6 +433,17 @@ def test_sample_forms_match_evaluate_bit_for_bit(b, p):
     xs = np.linspace(0.005, 30.0, 60_000) / float(params.p)
     for form, values in zip(forms, sample_forms(forms, xs)):
         assert np.array_equal(values.view(np.int64), evaluate(form, xs).view(np.int64))
+
+
+# grids out to x = 200/p, where the table's entries underflow to subnormals
+# and to 0; 8000 points take two table blocks at both wells
+@pytest.mark.parametrize("b, p, n_top", [("1261/64", "1/4", 40), (7, "1/40", 60)])
+def test_sample_forms_match_the_per_term_reference_bit_for_bit(b, p, n_top):
+    params = make_params(b, p)
+    forms = [eigenfunction(n, params) for n in range(n_top + 1)]
+    xs = np.linspace(0.005, 200.0, 8000) / float(params.p)
+    for got, expect in zip(sample_forms(forms, xs), reference_samples(forms, xs)):
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
 
 def test_orthogonality_exact_only_through_first_rung():
