@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .params import Float64RangeError, LadderParams, ModelParams, ladder
+from .params import Float64RangeError, LadderParams, ModelParams, ladder, level_ratio
 from .potential import _positive_x, coth, csch_squared, log_cosh, log_sinh, sech_squared
 from .spectrum import max_bound_states
 
@@ -145,27 +145,28 @@ def candidate_form(n: int, params: ModelParams) -> HyperbolicForm:
     return form
 
 
-def check_top_coefficient(n: int, params: ModelParams) -> Fraction:
-    """The top coefficient of the n-th ladder form, with no form built;
-    Float64RangeError, as `_float_terms` raises it for that form, when it
-    overflows float64.
+def _top_bits(n: int, params: ModelParams) -> float:
+    """log2 of the top coefficient of the n-th ladder form, n <= n_max, as a
+    float64 sum off by under n * 1e-12 bits; no form is built.
 
-    Only the k = K term of a creation step feeds out[K + 2], so each step
-    multiplies it by alpha - K p/2: down the ladder from rung n, by
-    (d0 - 2mp)/2 with d0 = A - B, m = 2n-1, ..., n, and twice that at the
-    first step, whose k + 2 and |k - 2| images both land on index 2.
+    Only the k = K term of a creation step feeds out[K + 2], so down the
+    ladder from rung n the top gains the factors (d0 - 2mp)/2 = (p/2)(q - 2m),
+    m = 2n-1, ..., n, with d0 = A - B and q = d0/p, twice at the first step,
+    whose k + 2 and |k - 2| images both land on index 2.  q - 2m > 2 for
+    n <= n_max, so no factor underflows, even where p is subnormal.
     """
-    if n == 0:
-        return Fraction(1)  # the ground form's one coefficient
-    d0, p = params.A - params.B, params.p
-    num = 2 * math.prod(d0.numerator * p.denominator - 2 * m * p.numerator * d0.denominator
-                        for m in range(n, 2 * n))
-    top = Fraction(num, (2 * d0.denominator * p.denominator) ** n)
-    try:
-        float(top)
-    except OverflowError:
-        raise _overflow(2 * n) from None
-    return top
+    p, q = params.p, float(4 * level_ratio(params))
+    half_p = math.log2(p.numerator) - math.log2(p.denominator) - 1
+    return 1 + n * half_p + math.fsum(math.log2(q - 2 * m) for m in range(n, 2 * n))
+
+
+def check_top_coefficient(n: int, params: ModelParams) -> None:
+    """Float64RangeError, as `_float_terms` raises it for the n-th ladder
+    form, when its top coefficient has more than 1025 bits, so surely
+    overflows float64; within the one-bit band below, the built form's own
+    test decides."""
+    if _top_bits(n, params) > 1025:
+        raise _overflow(2 * n)
 
 
 def eigenfunction(n: int, params: ModelParams) -> HyperbolicForm:

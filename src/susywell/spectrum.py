@@ -9,19 +9,6 @@ from fractions import Fraction
 from .params import ModelParams, level_ratio
 
 
-def raw_energy_formula(n: int, params: ModelParams) -> Fraction:
-    """(A-B)^2 - (A-B-4np)^2 = 8np(2B+3p-2np), with no cap on n.
-
-    The level E_n for n <= max_bound_states; beyond it the value no longer
-    corresponds to a normalizable state.
-    """
-    if n < 0:
-        raise ValueError("state index n must be nonnegative")
-    d0 = params.A - params.B
-    dn = d0 - 4 * n * params.p
-    return d0 * d0 - dn * dn
-
-
 def max_bound_states(params: ModelParams) -> int:
     """Largest n with negative decay exponent 4np - (2B+3p): ceil(r) - 1 for
     r = level_ratio = (2B+3p)/(4p), which is floor(r), or r - 1 when r is
@@ -47,9 +34,13 @@ class Spectrum:
 
 
 def full_spectrum(params: ModelParams) -> Spectrum:
-    """Levels n = 0..n_max from the closed quadratic; validate's telescoping
+    """Levels n = 0..n_max from the closed quadratic
+    E_n = d0^2 - (d0 - 4np)^2 = 8np(d0 - 2np), d0 = A - B: with d0 = a/b
+    and p = c/e, one integer fraction per level.  validate's telescoping
     check compares them with the telescoped and summed routes."""
     n_max = max_bound_states(params)
-    levels = tuple((n, raw_energy_formula(n, params)) for n in range(n_max + 1))
     d0 = params.A - params.B
+    a, b, c, e = d0.numerator, d0.denominator, params.p.numerator, params.p.denominator
+    ae, cb, be2 = a * e, c * b, b * e * e
+    levels = tuple((n, Fraction(8 * n * c * (ae - 2 * n * cb), be2)) for n in range(n_max + 1))
     return Spectrum(levels=levels, n_max=n_max, asymptote=d0 * d0)

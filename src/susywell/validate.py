@@ -203,6 +203,13 @@ def _check_convergence(well: _Well) -> CheckResult:
     )
 
 
+def _norm_ratio(a: np.ndarray, b: np.ndarray) -> float:
+    """|a| / |b|, both scaled by one power of two, exactly, so that neither
+    sum of squares under- or overflows where b is finite and nonzero."""
+    shift = -math.frexp(float(np.max(np.abs(b))))[1]
+    return float(oracle.norm2(np.ldexp(a, shift)) / oracle.norm2(np.ldexp(b, shift)))
+
+
 def _check_residuals(well: _Well) -> CheckResult:
     params = well.params
     p = float(params.p)
@@ -213,11 +220,7 @@ def _check_residuals(well: _Well) -> CheckResult:
     for (n, e), form in zip(well.spec.levels, well.forms):
         psi, _, d2 = hyperpoly.evaluate_derivatives(form, xs)
         r = -d2 + (v - float(e)) * psi
-        scaled = scale * psi
-        # both by the same power of two, exactly, so that neither sum of
-        # squares overflows where psi is finite
-        shift = -math.frexp(float(np.max(np.abs(scaled))))[1]
-        rel = float(oracle.norm2(np.ldexp(r, shift)) / oracle.norm2(np.ldexp(scaled, shift)))
+        rel = _norm_ratio(r, scale * psi)
         if rel > worst:
             worst, worst_n = rel, n
     return CheckResult(
@@ -258,7 +261,7 @@ def _check_orthogonality(well: _Well) -> CheckResult:
 def _check_annihilation(well: _Well) -> CheckResult:
     psi0 = well.psi01[0]
     out = oracle.apply_ladder_numeric(well.params, 0, "annihilation", psi0, well.H.grid)
-    ratio = float(oracle.norm2(out[well.bulk]) / oracle.norm2(psi0[well.bulk]))
+    ratio = _norm_ratio(out[well.bulk], psi0[well.bulk])
     return CheckResult(
         "annihilation",
         ratio <= ANNIHILATION_TOL,
@@ -283,7 +286,7 @@ def _check_intertwining(well: _Well) -> CheckResult:
     keep = well.bulk.copy()
     keep[:2] = False
     keep[-2:] = False
-    rel = float(oracle.norm2(r[keep]) / oracle.norm2(e1 * down[keep]))
+    rel = _norm_ratio(r[keep], e1 * down[keep])
     return CheckResult(
         "intertwining",
         rel <= INTERTWINING_TOL,

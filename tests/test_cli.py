@@ -84,7 +84,14 @@ def test_couplings_outside_float64_are_parameter_errors(runner, command, couplin
      # n_max = 3500; the top coefficient of form 1000 overflows, and is
      # tested before the 1000-step creation chain is built
      (["eigenfunction", "--B", "7", "--p", "1/1000", "-n", "1000"],
-      "exact form with top index 2000 overflow float64")],
+      "exact form with top index 2000 overflow float64"),
+     # n_max = 500000: the top's log2 sum runs over 499999 factors
+     (["eigenfunction", "--B", "1000", "--p", "1/1000", "-n", "499999"],
+      "exact form with top index 999998 overflow float64"),
+     # the top, 1.68 * 2^1024, lies in the one-bit band the check lets
+     # through; the built form's own float64 test raises the same line
+     (["eigenfunction", "--B", f"{17 * 2**340}/5", "--p", f"{2**341}/5", "-n", "3"],
+      "exact form with top index 6 overflow float64")],
 )
 def test_capped_wells_fail_before_any_work(runner, args, message):
     start = time.perf_counter()
@@ -96,6 +103,32 @@ def test_capped_wells_fail_before_any_work(runner, args, message):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid parameters: ")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [(["spectrum", "--B", "abc", "--p", "1"], "could not parse B='abc', p='1' as rationals"),
+     (["spectrum", "--B", "7", "--p", "1/0"], "could not parse B='7', p='1/0' as rationals"),
+     (["eigenfunction", "--B", "7", "--p", "1/2", "-n", "-1"], "state index must be nonnegative")],
+)
+def test_unreadable_input_exits_2_with_one_line(runner, args, line):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == line + "\n"
+
+
+def test_minimum_search_failure_exits_1_with_one_line(runner, monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise RuntimeError("no sign change of V' on the scan")
+
+    monkeypatch.setattr(analysis, "find_minimum", fail)
+    result = runner.invoke(main, ["minimum", "--B", "7", "--p", "1/2"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == "minimum search failed: no sign change of V' on the scan\n"
 
 
 def test_spectrum_deterministic(runner):
@@ -406,16 +439,18 @@ def test_out_that_fails_only_at_write_time_is_a_parameter_error(runner, tmp_path
     assert result.stderr == f"cannot write output file {path}: Permission denied\n"
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty", "under-a-file"])
 def test_unwritable_out_is_rejected_before_any_work(runner, tmp_path, monkeypatch, where):
     def no_work(*args, **kwargs):
         raise AssertionError("validation ran before the --out check")
 
     monkeypatch.setattr(validate, "run_validation", no_work)
     monkeypatch.delenv("SUSYWELL_OUT_DIR", raising=False)  # with it set, "" names a directory
+    (tmp_path / "file").write_text("")
     path = {"missing-directory": tmp_path / "missing" / "x.json", "directory": tmp_path,
-            "empty": ""}[where]
-    reason = "Is a directory" if where == "directory" else "No such file or directory"
+            "empty": "", "under-a-file": tmp_path / "file" / "x.json"}[where]
+    reason = {"directory": "Is a directory",
+              "under-a-file": "Not a directory"}.get(where, "No such file or directory")
     result = runner.invoke(
         main, ["validate", "--B", "1143/40", "--p", "3/5", "--out", str(path)]
     )

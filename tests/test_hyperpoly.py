@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from susywell.cli import main
 from susywell.hyperpoly import (
     HyperbolicForm,
+    _top_bits,
     apply_creation,
     candidate_form,
     check_top_coefficient,
@@ -26,9 +27,10 @@ from susywell.hyperpoly import (
     node_counts,
     sample_forms,
 )
-from susywell.params import LadderParams, ladder, make_params
+from susywell.params import Float64RangeError, LadderParams, ladder, make_params
 from susywell.potential import potential_closed_form, superpotential
 from susywell.spectrum import full_spectrum, max_bound_states
+from closed_form_reference import log2_exact, reference_top
 from series_reference import reference_samples
 
 PR = make_params(7, 0.5)
@@ -192,7 +194,48 @@ def test_apply_creation_matches_four_term_formula_on_any_rationals(
 def test_top_coefficient_closed_form_matches_the_built_form(b, p, n):
     params = make_params(b, p)
     form = eigenfunction(n, params)
-    assert check_top_coefficient(n, params) == Fraction(form.coeffs[-1], form.den)
+    top = Fraction(form.coeffs[-1], form.den)
+    assert top == reference_top(n, params)
+    # the ground form's 1 reads as the empty product's 2
+    bits = log2_exact(top) + (n == 0)
+    assert abs(_top_bits(n, params) - bits) < 1e-9
+
+
+def test_top_coefficient_check_raises_exactly_past_the_one_bit_band():
+    # d0 = 20k and p = k give form 3 the top 420 k^3: k = 2^338 c puts it
+    # just below 2^1024 (c = 1.3458) and just above 2^1025 (c = 1.6958)
+    cases = [(make_params(17 * k / 2, k), 3)
+             for k in (2**338 * Fraction(13458, 10000), 2**338 * Fraction(16958, 10000))]
+    # and wells whose tops cross 2^1024 near n = N <= 1500, scanned at
+    # n <= 2N: log2 of the top is about N log2(d0/4) there, so
+    # d0 = 4 * 2^(1024/N) puts the crossing mid-scan; small denominators keep
+    # the exact product, which each n is tested against, cheap
+    rng = random.Random(23)
+    for _ in range(40):
+        N = round(5 * 300 ** rng.random())
+        d0 = Fraction(4 * 2 ** (1024 / N) * rng.uniform(0.5, 2)).limit_denominator(1000)
+        p = d0 / 4 / (N * Fraction(rng.randint(120, 300), 100))  # level ratio 1.2N..3N
+        params = make_params((d0 - 3 * p) / 2, p)
+        n_max = max_bound_states(params)
+        cases += [(params, n) for n in
+                  sorted({min(n_max, round(N * 2 ** rng.uniform(-1, 1))) for _ in range(5)})]
+    seen = {"over": 0, "under": 0}
+    for params, n in cases:
+        top = reference_top(n, params)
+        try:
+            check_top_coefficient(n, params)
+            raised = False
+        except Float64RangeError as exc:
+            assert str(exc) == (f"coefficients of the exact form with top index {2 * n} "
+                                "overflow float64")
+            raised = True
+        if top >= 2**1025:
+            assert raised, (params, n)
+            seen["over"] += 1
+        elif top < 2**1024:
+            assert not raised, (params, n)
+            seen["under"] += 1
+    assert seen["over"] > 40 and seen["under"] > 40
 
 
 # sha256 of the reduced coefficients of the forms n = 0..n_max, each

@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 
 from susywell.cli import main
 from susywell.params import ladder, ladder_offset, level_ratio, make_params
-from susywell.spectrum import (
-    full_spectrum,
-    max_bound_states,
-    raw_energy_formula,
-    state_decay_rate,
-)
+from susywell.spectrum import full_spectrum, max_bound_states, state_decay_rate
+from closed_form_reference import reference_level
 
 PR = make_params(7, 0.5)
 
@@ -23,13 +19,6 @@ def test_reference_levels():
     levels = full_spectrum(PR).levels
     assert [n for n, _ in levels] == list(range(8))
     assert [float(e) for _, e in levels] == [0, 58, 108, 150, 184, 210, 228, 238]
-
-
-def test_energy_errors_beyond_cutoff():
-    # the bare quadratic stays evaluable beyond the cutoff
-    assert raw_energy_formula(8, PR) == 240
-    with pytest.raises(ValueError):
-        raw_energy_formula(-1, PR)
 
 
 def test_max_bound_states_branches():
@@ -106,6 +95,28 @@ def test_energy_equals_offset_difference():
         a0 = ladder_offset(ladder(pr, 0))
         for n, e in full_spectrum(pr).levels:
             assert e == ladder_offset(ladder(pr, n)) - a0
+
+
+@settings(max_examples=40, deadline=None)
+@example(r=Fraction(31, 4), p=Fraction(1, 2))  # (7, 1/2)
+@example(r=Fraction(3000), p=Fraction(1, 10**4))  # the marginal state, at n_max = 2999
+@given(
+    r=st.fractions(Fraction(5, 4), 3000, max_denominator=10**6).filter(lambda r: r > Fraction(5, 4)),
+    p=st.one_of(st.fractions(Fraction(1, 10**6), 10**6, max_denominator=10**6),
+                st.floats(1e-150, 1e150).map(Fraction)),
+)
+def test_levels_equal_the_closed_quadratic(r, p):
+    pr = make_params(p * (4 * r - 3) / 2, p)
+    assert full_spectrum(pr).levels == tuple(
+        (n, reference_level(n, pr)) for n in range(max_bound_states(pr) + 1))
+
+
+def test_levels_of_a_capped_well_equal_the_closed_quadratic():
+    pr = make_params(2, 1e-5)  # n_max = 100000, p a binary fraction
+    levels = full_spectrum(pr).levels
+    assert len(levels) == max_bound_states(pr) + 1 == 100001
+    for n, e in levels[:500] + levels[-500:]:
+        assert e == reference_level(n, pr)
 
 
 def test_serialization():

@@ -158,6 +158,20 @@ def test_residuals_measure_every_state_where_the_sums_of_squares_overflow(monkey
     assert check.detail == "max relative H-residual 2.203e-01 at n=22 (tolerance 1e-06)"
 
 
+@pytest.mark.parametrize("scale", [-530, 0, 520])
+def test_norm_ratio_is_the_same_at_any_power_of_two(scale):
+    # at (7, 1/35), |A psi_0| peaks near 4.9e-165 on the bulk: its sum of
+    # squares underflows, and the unscaled ratio read 0.0, a vacuous PASS
+    xs = np.linspace(0.0, 8.0, 2000)
+    b = np.exp(-xs * xs)
+    a = 1e-7 * xs * b
+    ratio = validate._norm_ratio(np.ldexp(a, scale), np.ldexp(b, scale))
+    assert ratio == validate._norm_ratio(a, b) == pytest.approx(
+        np.linalg.norm(a) / np.linalg.norm(b), rel=1e-14)
+    unscaled = float(oracle.norm2(np.ldexp(a, scale)) / oracle.norm2(np.ldexp(b, scale)))
+    assert unscaled == (ratio if scale == 0 else 0.0)
+
+
 def test_node_count_fails_on_an_extra_root():
     params = make_params(7, 0.5)
     forms = [hyperpoly.eigenfunction(n, params) for n in range(8)]
