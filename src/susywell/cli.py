@@ -267,9 +267,7 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
             err=True,
         )
         sys.exit(EXIT_INDEX_OUT_OF_RANGE)
-    # an overflowing top coefficient exits 2 before the chain is built
-    hyperpoly.check_top_coefficient(state_index, params)
-    form = hyperpoly.eigenfunction(state_index, params)
+    form = next(hyperpoly.ladder_forms(params, [state_index]))
     xs = grid.points()
     values = hyperpoly.evaluate(form, xs)
     norm = oracle.inner_product(values, values, grid)
@@ -368,7 +366,7 @@ def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
     # the forms are built as sample_forms draws them, so one that overflows
     # float64 exits 2 before any later one is built; each call holds at most
     # _FIGURE_SAMPLES values
-    forms = (hyperpoly.eigenfunction(n, params) for n in range(n_max + 1))
+    forms = hyperpoly.ladder_forms(params, range(n_max + 1))
     per_call = max(1, _FIGURE_SAMPLES // xs.size)
     for _ in range(0, n_max + 1, per_call):
         for vals in hyperpoly.sample_forms(itertools.islice(forms, per_call), xs):

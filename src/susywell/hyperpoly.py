@@ -4,17 +4,20 @@ Every state in this family is cosh(3px)^sigma * sinh(px)^tau * P(x) with P
 a finite series sum_k a_k cosh(2kpx).  Applying the creation operator
 (-d/dx + W) maps the family to itself: the exponents drop by one and the
 series picks up two more terms.  Coefficients are exact: integer numerators
-over one positive denominator per form.  Numeric evaluation factors out the
-dominant exponential so values, ratios and residuals stay computable where
-the raw numbers would under- or overflow.  Every evaluator sums the series
-through one table of exp(-2jpx) (`_scaled_series`), for one form or for
-many that share p.  Evaluators take numpy arrays of x > 0 and return
-arrays; a scalar x is read as a 0-d array.
+over one positive denominator per form.  Every command that builds
+bound-state forms draws them from `ladder_forms`, which decides whether
+they fit float64.  Numeric evaluation factors out the dominant exponential
+so values, ratios and residuals stay computable where the raw numbers
+would under- or overflow.  Every evaluator sums the series through one
+table of exp(-2jpx) (`_scaled_series`), for one form or for many that
+share p.  Evaluators take numpy arrays of x > 0 and return arrays; a
+scalar x is read as a 0-d array.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,15 +163,6 @@ def _top_bits(n: int, params: ModelParams) -> float:
     return 1 + n * half_p + math.fsum(math.log2(q - 2 * m) for m in range(n, 2 * n))
 
 
-def check_top_coefficient(n: int, params: ModelParams) -> None:
-    """Float64RangeError, as `_float_terms` raises it for the n-th ladder
-    form, when its top coefficient has more than 1025 bits, so surely
-    overflows float64; within the one-bit band below, the built form's own
-    test decides."""
-    if _top_bits(n, params) > 1025:
-        raise _overflow(2 * n)
-
-
 def eigenfunction(n: int, params: ModelParams) -> HyperbolicForm:
     """Unnormalized n-th bound-state form; IndexError beyond the cutoff."""
     n_max = max_bound_states(params)
@@ -219,15 +213,24 @@ def _overflow(top_index: int) -> Float64RangeError:
     )
 
 
-def check_float64(forms) -> list[HyperbolicForm]:
-    """The forms as a list.  Float64RangeError unless each form and its
-    first two derivatives fit float64; an iterator is tested form by form as
-    it is drawn, so no form past the first that overflows is built."""
-    checked = []
-    for form in forms:
-        _float_terms(form, 2)
-        checked.append(form)
-    return checked
+def ladder_forms(params: ModelParams, ns, order: int = 0) -> Iterator[HyperbolicForm]:
+    """The bound-state forms n in ns, built one at a time as they are drawn,
+    each tested against float64 with its derivatives up to `order`.
+
+    Float64RangeError, as `_float_terms` raises it: before the chain is
+    built when the top coefficient has more than 1025 bits, and so surely
+    overflows; otherwise from the built form's own test, which also decides
+    the one-bit band below.  A top past 2^1025 fails that test too, with the
+    same message, so the first form that fails is the same either way, and
+    no form past it is built.
+    """
+    n_max = max_bound_states(params)
+    for n in ns:
+        if n <= n_max and _top_bits(n, params) > 1025:  # _top_bits needs n <= n_max
+            raise _overflow(2 * n)
+        form = eigenfunction(n, params)  # IndexError past the cutoff
+        _float_terms(form, order)
+        yield form
 
 
 def _log_scale(form: HyperbolicForm, u, log_cosh_3u, log_sinh_u):

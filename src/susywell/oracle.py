@@ -150,50 +150,6 @@ def count_cuts(H: DiscretizedHamiltonian, shifts) -> Cuts:
     return Cuts(shifts, kernels.sturm_counts(H.diag, H.offdiag * H.offdiag, shifts))
 
 
-def _bisect_lowest(
-    diag: np.ndarray, offdiag: np.ndarray, m: int, cuts: "Cuts | None" = None
-) -> list[float]:
-    off2 = offdiag * offdiag
-    radius = np.abs(offdiag)
-    reach = np.zeros_like(diag)
-    reach[:-1] += radius
-    reach[1:] += radius
-    lo_bound = float(np.min(diag - reach))
-    hi_bound = float(np.max(diag + reach))
-    norm = max(abs(lo_bound), abs(hi_bound), 1.0)
-    tol = _BISECT_REL_TOL * norm
-
-    lo = np.full(m, lo_bound)
-    hi = np.full(m, hi_bound)
-    want = np.arange(1, m + 1)  # eigenvalue j is below x iff count(x) >= j+1
-    # enclosure (a_j, b_j): the largest cut that counts at most j and the
-    # smallest that counts at least j + 1, or none (-inf, inf); with the counts
-    # monotone in the shift, a midpoint <= a_j counts at most j and one >= b_j
-    # at least j + 1, so those levels need no count
-    if cuts is None:
-        cuts = Cuts(np.empty(0), np.empty(0, dtype=np.int64))
-    edges = np.concatenate(([-np.inf], cuts.shifts, [np.inf]))
-    at = np.searchsorted(cuts.counts, want - 1, side="right")
-    a, b = edges[at], edges[at + 1]
-    levels_left = 0
-    for _ in range(_MAX_BISECT_ITER):
-        if np.all(hi - lo <= tol):
-            break
-        if levels_left == 0:
-            shifts, counts, levels_left = _multisection_pass(diag, off2, lo, hi, a, b)
-        mid = 0.5 * (lo + hi)
-        below = mid >= b
-        ask = (mid > a) & ~below
-        if ask.any():
-            below[ask] = counts[np.searchsorted(shifts, mid[ask])] >= want[ask]
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        levels_left -= 1
-    else:
-        raise RuntimeError("Sturm bisection hit the iteration limit (pathological grid?)")
-    return [float(v) for v in 0.5 * (lo + hi)]
-
-
 def _multisection_pass(diag, off2, lo, hi, a, b):
     """Sturm counts, from at most one kernel call, at every midpoint that
     plain bisection can reach from the brackets (lo, hi) within the returned
@@ -237,10 +193,49 @@ def lowest_eigenvalues(
     where lo and hi are the Gershgorin bounds of H; deterministic for fixed
     inputs.  Cuts counted on H (count_cuts) answer the bisection levels they
     decide without a count: the same floats, with fewer and cheaper counts."""
-    n = H.diag.shape[0]
+    diag, offdiag = H.diag, H.offdiag
+    n = diag.shape[0]
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= {n}, got {m}")
-    return _bisect_lowest(H.diag, H.offdiag, m, cuts)
+    off2 = offdiag * offdiag
+    radius = np.abs(offdiag)
+    reach = np.zeros_like(diag)
+    reach[:-1] += radius
+    reach[1:] += radius
+    lo_bound = float(np.min(diag - reach))
+    hi_bound = float(np.max(diag + reach))
+    norm = max(abs(lo_bound), abs(hi_bound), 1.0)
+    tol = _BISECT_REL_TOL * norm
+
+    lo = np.full(m, lo_bound)
+    hi = np.full(m, hi_bound)
+    want = np.arange(1, m + 1)  # eigenvalue j is below x iff count(x) >= j+1
+    # enclosure (a_j, b_j): the largest cut that counts at most j and the
+    # smallest that counts at least j + 1, or none (-inf, inf); with the counts
+    # monotone in the shift, a midpoint <= a_j counts at most j and one >= b_j
+    # at least j + 1, so those levels need no count
+    if cuts is None:
+        cuts = Cuts(np.empty(0), np.empty(0, dtype=np.int64))
+    edges = np.concatenate(([-np.inf], cuts.shifts, [np.inf]))
+    at = np.searchsorted(cuts.counts, want - 1, side="right")
+    a, b = edges[at], edges[at + 1]
+    levels_left = 0
+    for _ in range(_MAX_BISECT_ITER):
+        if np.all(hi - lo <= tol):
+            break
+        if levels_left == 0:
+            shifts, counts, levels_left = _multisection_pass(diag, off2, lo, hi, a, b)
+        mid = 0.5 * (lo + hi)
+        below = mid >= b
+        ask = (mid > a) & ~below
+        if ask.any():
+            below[ask] = counts[np.searchsorted(shifts, mid[ask])] >= want[ask]
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+        levels_left -= 1
+    else:
+        raise RuntimeError("Sturm bisection hit the iteration limit (pathological grid?)")
+    return [float(v) for v in 0.5 * (lo + hi)]
 
 
 def eigenvector_for(H: DiscretizedHamiltonian, eigenvalue: float) -> EigenResult:

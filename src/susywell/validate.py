@@ -2,8 +2,9 @@
 
 Each check is independent and reports a measured number next to its
 threshold, so a failure says *how far off* the claim is, not just that it
-failed.  Every check reads one record of the well, built once.  The suite
-is deterministic for fixed inputs.
+failed.  Every check reads one record of the well, built once, and returns
+(passed, detail); `_CHECKS` names each check once, in report order.  The
+suite is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -70,92 +71,67 @@ class _Well:
     extras: dict
 
 
-def _check_telescoping(well: _Well) -> CheckResult:
+def _check_telescoping(well: _Well) -> tuple[bool, str]:
     params = well.params
     a0 = ladder_offset(ladder(params, 0))
     running = Fraction(0)
     for n, closed in well.spec.levels:
         telescoped = ladder_offset(ladder(params, n)) - a0
         if not closed == telescoped == running:
-            return CheckResult(
-                "telescoping", False,
-                f"energy routes disagree at n={n}: closed {closed}, "
-                f"telescoped {telescoped}, summed {running}",
-            )
+            return False, (f"energy routes disagree at n={n}: closed {closed}, "
+                           f"telescoped {telescoped}, summed {running}")
         running += shift_constant(params, n)
-    return CheckResult(
-        "telescoping", True,
-        f"sum of shift constants equals closed form for n<=n_max={well.spec.n_max}",
-    )
+    return True, f"sum of shift constants equals closed form for n<=n_max={well.spec.n_max}"
 
 
-def _check_cutoff(well: _Well) -> CheckResult:
+def _check_cutoff(well: _Well) -> tuple[bool, str]:
     n_max = well.spec.n_max
     last = state_decay_rate(well.params, n_max)
     beyond = state_decay_rate(well.params, n_max + 1)
     ok = last < 0 <= beyond
-    return CheckResult(
-        "normalizability-cutoff",
-        ok,
-        f"decay rate {float(last):+g} at n_max={n_max}, {float(beyond):+g} beyond",
-    )
+    return ok, f"decay rate {float(last):+g} at n_max={n_max}, {float(beyond):+g} beyond"
 
 
-def _check_prefactor(well: _Well) -> CheckResult:
+def _check_prefactor(well: _Well) -> tuple[bool, str]:
     params = well.params
     sigma_expect = -(params.B + params.p) / params.p
     tau_expect = params.B / params.p
     for n, form in enumerate(well.forms):
         if form.sigma != sigma_expect or form.tau != tau_expect:
-            return CheckResult(
-                "prefactor-exponents", False,
-                f"n={n}: got (sigma, tau) = ({form.sigma}, {form.tau})",
-            )
+            return False, f"n={n}: got (sigma, tau) = ({form.sigma}, {form.tau})"
         if form.top_index != 2 * n:
-            return CheckResult(
-                "prefactor-exponents", False,
-                f"n={n}: series length {form.top_index + 1} != {2 * n + 1}",
-            )
-    return CheckResult(
-        "prefactor-exponents", True,
-        f"sigma = {sigma_expect}, tau = {tau_expect}, 2n+1 coefficients for every n",
-    )
+            return False, f"n={n}: series length {form.top_index + 1} != {2 * n + 1}"
+    return True, f"sigma = {sigma_expect}, tau = {tau_expect}, 2n+1 coefficients for every n"
 
 
-def _check_first_excited(well: _Well) -> CheckResult:
+def _check_first_excited(well: _Well) -> tuple[bool, str]:
     c = 2 * well.params.B + well.params.p
     expect = (Fraction(0), -2 * c, c)
     got = well.forms[1].coeffs
     ok = len(got) == 3 and got[0] == 0 and got[1] * expect[2] == got[2] * expect[1]
-    return CheckResult(
-        "first-excited-coefficients",
-        ok,
-        f"coefficients {tuple(str(Fraction(g, well.forms[1].den)) for g in got)} "
-        f"vs proportional (0, {-2 * c}, {c})",
-    )
+    return ok, (f"coefficients {tuple(str(Fraction(g, well.forms[1].den)) for g in got)} "
+                f"vs proportional (0, {-2 * c}, {c})")
 
 
-def _check_shape_invariance(well: _Well) -> CheckResult:
-    # scan exactly the rungs the eigenfunction construction uses
+def _check_shape_invariance(well: _Well) -> tuple[bool, str]:
+    # scan exactly the rungs the eigenfunction construction uses; n_max >= 1
+    # for every admissible well, since r = B/(2p) + 3/4 > 5/4
     params = well.params
     p = float(params.p)
     xs = np.geomspace(1e-3 / p, 30.0 / p, 10_000)
     worst = 0.0
     worst_k = 0
-    for k in range(max(1, well.spec.n_max)):
+    for k in range(well.spec.n_max):
         res = shape_invariance_residual(xs, params, k)
         scale = np.maximum(1.0, np.abs(partner_plus(xs, ladder(params, k), params.p)))
         m = float(np.max(np.abs(res) / scale))
         if m > worst:
             worst, worst_k = m, k
-    return CheckResult(
-        "shape-invariance",
-        worst <= SHAPE_TOL,
-        f"max scaled residual {worst:.3e} at rung k={worst_k} (tolerance {SHAPE_TOL:.0e})",
-    )
+    return worst <= SHAPE_TOL, (f"max scaled residual {worst:.3e} at rung k={worst_k} "
+                                f"(tolerance {SHAPE_TOL:.0e})")
 
 
-def _check_energies(well: _Well) -> CheckResult:
+def _check_energies(well: _Well) -> tuple[bool, str]:
     asym = float(well.spec.asymptote)
     tol = max(ENERGY_ABS_TOL, ENERGY_REL_TOL * asym)
     table = []
@@ -170,14 +146,11 @@ def _check_energies(well: _Well) -> CheckResult:
             worst, worst_n = abs(diff), n
     well.extras["energy_comparison"] = table
     well.extras["levels_below_asymptote"] = well.levels_below_asymptote
-    return CheckResult(
-        "spectrum-vs-oracle",
-        worst <= tol,
-        f"max |E_num - E_closed| = {worst:.4g} at n={worst_n} (tolerance {tol:.3g})",
-    )
+    return worst <= tol, (f"max |E_num - E_closed| = {worst:.4g} at n={worst_n} "
+                          f"(tolerance {tol:.3g})")
 
 
-def _check_convergence(well: _Well) -> CheckResult:
+def _check_convergence(well: _Well) -> tuple[bool, str]:
     # difference ratio on E_1 across h, h/2, h/4; immune to the constant
     # truncation offset, isolates the h^2 order of the stencil.  Each solve
     # is seeded with cuts halfway between the main solve's E_0, E_1 and the
@@ -193,14 +166,11 @@ def _check_convergence(well: _Well) -> CheckResult:
         e.append(oracle.lowest_eigenvalues(H, 2, oracle.count_cuts(H, shifts))[1])
     d1, d2 = e[0] - e[1], e[1] - e[2]
     if d2 == 0.0:
-        return CheckResult("convergence-order", False, "degenerate refinement differences")
+        return False, "degenerate refinement differences"
     ratio = d1 / d2
     # ~4 for smooth states; the x^(B/p) cusp at the origin drags soft
     # exponents below clean second order, so accept a band around 4
-    ok = 2.5 <= ratio <= 5.5
-    return CheckResult(
-        "convergence-order", ok, f"refinement ratio {ratio:.3f} (expect ~4 for order 2)"
-    )
+    return 2.5 <= ratio <= 5.5, f"refinement ratio {ratio:.3f} (expect ~4 for order 2)"
 
 
 def _norm_ratio(a: np.ndarray, b: np.ndarray) -> float:
@@ -210,7 +180,7 @@ def _norm_ratio(a: np.ndarray, b: np.ndarray) -> float:
     return float(oracle.norm2(np.ldexp(a, shift)) / oracle.norm2(np.ldexp(b, shift)))
 
 
-def _check_residuals(well: _Well) -> CheckResult:
+def _check_residuals(well: _Well) -> tuple[bool, str]:
     params = well.params
     p = float(params.p)
     xs = np.linspace(0.05 / p, 24.0 / p, 4000)
@@ -223,24 +193,17 @@ def _check_residuals(well: _Well) -> CheckResult:
         rel = _norm_ratio(r, scale * psi)
         if rel > worst:
             worst, worst_n = rel, n
-    return CheckResult(
-        "eigenfunction-residual",
-        worst <= RESIDUAL_TOL,
-        f"max relative H-residual {worst:.3e} at n={worst_n} (tolerance {RESIDUAL_TOL:.0e})",
-    )
+    return worst <= RESIDUAL_TOL, (f"max relative H-residual {worst:.3e} at n={worst_n} "
+                                   f"(tolerance {RESIDUAL_TOL:.0e})")
 
 
-def _check_nodes(well: _Well) -> CheckResult:
+def _check_nodes(well: _Well) -> tuple[bool, str]:
     counts = hyperpoly.node_counts(well.forms)
     bad = [(n, nodes) for n, nodes in enumerate(counts) if nodes != n]
-    return CheckResult(
-        "node-count",
-        not bad,
-        "every form has exactly n interior zeros" if not bad else f"mismatches {bad}",
-    )
+    return not bad, "every form has exactly n interior zeros" if not bad else f"mismatches {bad}"
 
 
-def _check_orthogonality(well: _Well) -> CheckResult:
+def _check_orthogonality(well: _Well) -> tuple[bool, str]:
     p = float(well.params.p)
     grid = oracle.RadialGrid(x_min=0.005 / p, x_max=30.0 / p, n_points=60_000)
     vecs = hyperpoly.sample_forms(well.forms, grid.points())
@@ -251,25 +214,19 @@ def _check_orthogonality(well: _Well) -> CheckResult:
         ov = abs(oracle.inner_product(vecs[i], vecs[j], grid))
         if ov > worst:
             worst, pair = ov, (i, j)
-    return CheckResult(
-        "orthogonality",
-        worst <= OVERLAP_TOL,
-        f"max |overlap| = {worst:.3e} at pair {pair} (tolerance {OVERLAP_TOL:.0e})",
-    )
+    return worst <= OVERLAP_TOL, (f"max |overlap| = {worst:.3e} at pair {pair} "
+                                  f"(tolerance {OVERLAP_TOL:.0e})")
 
 
-def _check_annihilation(well: _Well) -> CheckResult:
+def _check_annihilation(well: _Well) -> tuple[bool, str]:
     psi0 = well.psi01[0]
     out = oracle.apply_ladder_numeric(well.params, 0, "annihilation", psi0, well.H.grid)
     ratio = _norm_ratio(out[well.bulk], psi0[well.bulk])
-    return CheckResult(
-        "annihilation",
-        ratio <= ANNIHILATION_TOL,
-        f"|A psi_0| / |psi_0| = {ratio:.3e} (tolerance {ANNIHILATION_TOL:.0e})",
-    )
+    return ratio <= ANNIHILATION_TOL, (f"|A psi_0| / |psi_0| = {ratio:.3e} "
+                                       f"(tolerance {ANNIHILATION_TOL:.0e})")
 
 
-def _check_intertwining(well: _Well) -> CheckResult:
+def _check_intertwining(well: _Well) -> tuple[bool, str]:
     # A psi_1 must be an eigenvector of the plus-partner at the same level
     params, grid = well.params, well.H.grid
     xs = grid.points()
@@ -287,21 +244,16 @@ def _check_intertwining(well: _Well) -> CheckResult:
     keep[:2] = False
     keep[-2:] = False
     rel = _norm_ratio(r[keep], e1 * down[keep])
-    return CheckResult(
-        "intertwining",
-        rel <= INTERTWINING_TOL,
-        f"relative residual of H_plus on (A psi_1) = {rel:.3e} (tolerance {INTERTWINING_TOL:.0e})",
-    )
+    return rel <= INTERTWINING_TOL, (f"relative residual of H_plus on (A psi_1) = {rel:.3e} "
+                                     f"(tolerance {INTERTWINING_TOL:.0e})")
 
 
-def _check_oracle_self(well: _Well) -> CheckResult:
+def _check_oracle_self(well: _Well) -> tuple[bool, str]:
+    # eigenvector_for returns only at a residual of at most 1e-8 * H.norm_bound()
     grid = well.H.grid
-    norm = well.H.norm_bound()
     issues = []
     for n, sym in enumerate(well.psi01):
         res = oracle.eigenvector_for(well.H, well.numeric[n])
-        if res.residual > 1e-8 * norm:
-            issues.append(f"n={n} residual {res.residual:.2e}")
         if res.node_count != n:
             issues.append(f"n={n} node count {res.node_count}")
         if res.index != n:
@@ -315,15 +267,11 @@ def _check_oracle_self(well: _Well) -> CheckResult:
         rel = float(np.max(np.abs(sym - num)) / np.max(np.abs(sym)))
         if rel > 1e-3:
             issues.append(f"n={n} wavefunction mismatch {rel:.2e}")
-    return CheckResult(
-        "oracle-selfcheck",
-        not issues,
-        "eigenvectors converge, indices and nodes agree, ground/first states "
-        "match the exact forms" if not issues else "; ".join(issues),
-    )
+    return not issues, ("eigenvectors converge, indices and nodes agree, ground/first states "
+                        "match the exact forms" if not issues else "; ".join(issues))
 
 
-def _check_minimum(well: _Well) -> CheckResult:
+def _check_minimum(well: _Well) -> tuple[bool, str]:
     params = well.params
     report = analysis.find_minimum(params)
     well.extras["minimum"] = report
@@ -339,21 +287,27 @@ def _check_minimum(well: _Well) -> CheckResult:
     rhs = t**20 * analysis.min_polynomial(1 / t, params.B, params.p)
     if lhs != rhs:
         issues.append("palindrome identity violated")
-    return CheckResult(
-        "minimum-and-polynomial",
-        not issues,
-        f"x0 = {report.x0:.6g}, V_min = {report.v_min:.6g}, probe "
-        f"(exp(p*x0), exp(x0)) = ({report.poly_root_probe[0]:.3e}, "
-        f"{report.poly_root_probe[1]:.3e})" if not issues else "; ".join(issues),
-    )
+    return not issues, (f"x0 = {report.x0:.6g}, V_min = {report.v_min:.6g}, probe "
+                        f"(exp(p*x0), exp(x0)) = ({report.poly_root_probe[0]:.3e}, "
+                        f"{report.poly_root_probe[1]:.3e})" if not issues else "; ".join(issues))
 
 
-# report order: it fixes the JSON/CSV bytes and first_failure
+# (name, check) in report order: it fixes the JSON/CSV bytes and first_failure
 _CHECKS = (
-    _check_telescoping, _check_cutoff, _check_prefactor, _check_first_excited,
-    _check_shape_invariance, _check_energies, _check_convergence, _check_residuals,
-    _check_nodes, _check_orthogonality, _check_annihilation, _check_intertwining,
-    _check_oracle_self, _check_minimum,
+    ("telescoping", _check_telescoping),
+    ("normalizability-cutoff", _check_cutoff),
+    ("prefactor-exponents", _check_prefactor),
+    ("first-excited-coefficients", _check_first_excited),
+    ("shape-invariance", _check_shape_invariance),
+    ("spectrum-vs-oracle", _check_energies),
+    ("convergence-order", _check_convergence),
+    ("eigenfunction-residual", _check_residuals),
+    ("node-count", _check_nodes),
+    ("orthogonality", _check_orthogonality),
+    ("annihilation", _check_annihilation),
+    ("intertwining", _check_intertwining),
+    ("oracle-selfcheck", _check_oracle_self),
+    ("minimum-and-polynomial", _check_minimum),
 )
 
 
@@ -385,8 +339,8 @@ def run_validation(
             f"{grid.n_points} points are too few: the oracle solve "
             f"needs at least n_max + 4 = {m} grid points"
         )
-    forms = hyperpoly.check_float64(  # the checks evaluate psi, psi' and psi''
-        hyperpoly.eigenfunction(n, params) for n in range(n_max + 1))
+    # the checks evaluate psi, psi' and psi''
+    forms = list(hyperpoly.ladder_forms(params, range(n_max + 1), order=2))
     H = oracle.build_hamiltonian(params, grid)
     xs = grid.points()
     psi01 = tuple(hyperpoly.sample_forms(forms[:2], xs))
@@ -411,4 +365,5 @@ def run_validation(
         bulk=bulk,
         extras={},
     )
-    return ValidationReport(checks=[check(well) for check in _CHECKS], extras=well.extras)
+    return ValidationReport(
+        checks=[CheckResult(name, *check(well)) for name, check in _CHECKS], extras=well.extras)

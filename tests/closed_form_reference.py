@@ -1,6 +1,6 @@
 """The ladder's two closed forms in plain exact arithmetic, independent of
 the integer formula in `spectrum.full_spectrum` and the float64 log2 sum in
-`hyperpoly.check_top_coefficient`."""
+`hyperpoly._top_bits`."""
 
 import math
 from fractions import Fraction

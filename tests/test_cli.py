@@ -302,13 +302,14 @@ def test_figure_builds_no_form_past_the_first_that_overflows(runner, monkeypatch
         return eigenfunction(n, params)
 
     monkeypatch.setattr(hyperpoly, "eigenfunction", counting)
-    # n_max = 5; form 3 is the first whose coefficients overflow float64
+    # n_max = 5; form 3 is the first whose coefficients overflow float64, and
+    # its top coefficient already does, so it fails before its chain is built
     result = runner.invoke(main, ["figure", "--B", "1e150", "--p", "1e149",
                                   "--grid-points", "100"])
     assert result.exit_code == 2
     assert result.stderr == ("invalid parameters: coefficients of the exact form with "
                              "top index 6 overflow float64\n")
-    assert built == [0, 1, 2, 3]
+    assert built == [0, 1, 2]
 
 
 def test_validate_builds_no_form_past_the_first_that_overflows(runner, monkeypatch):

@@ -11,19 +11,20 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from susywell import hyperpoly
 from susywell.cli import main
 from susywell.hyperpoly import (
     HyperbolicForm,
     _top_bits,
     apply_creation,
     candidate_form,
-    check_top_coefficient,
     decay_exponent,
     eigenfunction,
     evaluate,
     evaluate_derivatives,
     evaluate_scaled,
     ground_form,
+    ladder_forms,
     node_counts,
     sample_forms,
 )
@@ -201,7 +202,7 @@ def test_top_coefficient_closed_form_matches_the_built_form(b, p, n):
     assert abs(_top_bits(n, params) - bits) < 1e-9
 
 
-def test_top_coefficient_check_raises_exactly_past_the_one_bit_band():
+def test_top_coefficient_check_raises_exactly_past_the_one_bit_band(monkeypatch):
     # d0 = 20k and p = k give form 3 the top 420 k^3: k = 2^338 c puts it
     # just below 2^1024 (c = 1.3458) and just above 2^1025 (c = 1.6958)
     cases = [(make_params(17 * k / 2, k), 3)
@@ -219,16 +220,20 @@ def test_top_coefficient_check_raises_exactly_past_the_one_bit_band():
         n_max = max_bound_states(params)
         cases += [(params, n) for n in
                   sorted({min(n_max, round(N * 2 ** rng.uniform(-1, 1))) for _ in range(5)})]
+    # a case that raises does so before its chain of up to 3000 steps is built
+    def unbuilt(n, params):
+        raise AssertionError(f"form {n} was built")
+
+    monkeypatch.setattr(hyperpoly, "eigenfunction", unbuilt)
     seen = {"over": 0, "under": 0}
     for params, n in cases:
         top = reference_top(n, params)
-        try:
-            check_top_coefficient(n, params)
-            raised = False
-        except Float64RangeError as exc:
-            assert str(exc) == (f"coefficients of the exact form with top index {2 * n} "
-                                "overflow float64")
-            raised = True
+        raised = _top_bits(n, params) > 1025
+        if raised:
+            with pytest.raises(Float64RangeError) as exc:
+                next(ladder_forms(params, [n]))
+            assert str(exc.value) == (f"coefficients of the exact form with top index {2 * n} "
+                                      "overflow float64")
         if top >= 2**1025:
             assert raised, (params, n)
             seen["over"] += 1
@@ -456,6 +461,16 @@ def test_node_counts_ignore_repeated_roots_off_the_half_line():
     # only the simple roots c = 2 and c = 5 are nodes
     forms = [_from_roots([-1, -1, 2, 5]), _from_roots([Fraction(1, 2), Fraction(1, 2), 2, 5])]
     assert node_counts(forms) == [2, 2]
+
+
+def test_node_counts_skip_zeros_at_the_origin():
+    # c = cosh(2px) = 1 is x = 0, a zero of the series there is no node:
+    # 2(c - 1)(c - 2) has one, 1 - c none, the double root of 2(c - 1)^2
+    # none, and 4(c - 1)(c - 2)(c - 3) two, isolated by bisection
+    forms = [HyperbolicForm(sigma=Fraction(-3), tau=Fraction(2), p=Fraction(1, 2),
+                            coeffs=coeffs, den=1)
+             for coeffs in ((5, -6, 1), (1, -1), (3, -4, 1), (-36, 47, -12, 1))]
+    assert node_counts(forms) == [1, 0, 0, 2]
 
 
 def test_node_counts_finish_where_coefficients_carry_a_large_prime():

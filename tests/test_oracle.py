@@ -8,7 +8,6 @@ from susywell.hyperpoly import eigenfunction, evaluate, ground_form
 from susywell.oracle import (
     DiscretizedHamiltonian,
     RadialGrid,
-    _bisect_lowest,
     apply_ladder_numeric,
     build_hamiltonian,
     count_nodes,
@@ -213,8 +212,34 @@ def test_bisection_iteration_limit(monkeypatch):
 
 
 def test_two_by_two_bisection():
-    vals = _bisect_lowest(np.array([2.0, 2.0]), np.array([-1.0]), 2)
+    # the solve reads only the matrix, not the grid
+    H = DiscretizedHamiltonian(grid=None, diag=np.array([2.0, 2.0]), offdiag=np.array([-1.0]))
+    vals = lowest_eigenvalues(H, 2)
     assert vals == pytest.approx([1.0, 3.0], abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def well_7_half():
+    params = make_params(7, "1/2")
+    H = build_hamiltonian(params, default_grid(params))
+    return H, lowest_eigenvalues(H, 1)[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inverse_iteration_that_does_not_converge_raises(monkeypatch, well_7_half):
+    # the first step never ends the iteration: it has no previous residual
+    monkeypatch.setattr(oracle, "_MAX_INVERSE_ITER", 1)
+    with pytest.raises(RuntimeError, match=r"^inverse iteration failed to converge "
+                                           r"\(residual \S+, tolerance \S+\)$"):
+        eigenvector_for(*well_7_half)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inverse_iteration_on_a_zero_solve_raises(monkeypatch, well_7_half):
+    monkeypatch.setattr(kernels, "shifted_tridiag_solve",
+                        lambda diag, offdiag, shift, v: np.zeros_like(v))
+    with pytest.raises(RuntimeError, match="^inverse iteration produced a degenerate vector$"):
+        eigenvector_for(*well_7_half)
 
 
 def test_matvec_matches_dense():

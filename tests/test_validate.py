@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from susywell import hyperpoly, kernels, oracle, validate
+from susywell import analysis, hyperpoly, kernels, oracle, validate
 from susywell.cli import main
 from susywell.params import make_params
 from susywell.spectrum import full_spectrum, max_bound_states
@@ -61,15 +62,15 @@ def test_small_well_passes_everything(small_report):
 def test_telescoping_reports_the_first_disagreement(monkeypatch):
     pr = make_params(7, "1/2")
     well = SimpleNamespace(params=pr, spec=full_spectrum(pr))
-    check = validate._check_telescoping(well)
-    assert check.passed
-    assert check.detail == "sum of shift constants equals closed form for n<=n_max=7"
+    passed, detail = validate._check_telescoping(well)
+    assert passed
+    assert detail == "sum of shift constants equals closed form for n<=n_max=7"
     # break the summed route at the step from rung 3 to rung 4
     exact = validate.shift_constant
     monkeypatch.setattr(validate, "shift_constant", lambda params, k: exact(params, k) + (k == 3))
-    check = validate._check_telescoping(well)
-    assert not check.passed
-    assert check.detail == (
+    passed, detail = validate._check_telescoping(well)
+    assert not passed
+    assert detail == (
         "energy routes disagree at n=4: closed 184, telescoped 184, summed 185"
     )
 
@@ -133,8 +134,8 @@ def test_node_count_passes_on_deep_wells(b, p):
     # the float64 sampling this check replaced failed here from n = 11 on
     params = make_params(b, p)
     forms = [hyperpoly.eigenfunction(n, params) for n in range(max_bound_states(params) + 1)]
-    check = validate._check_nodes(SimpleNamespace(forms=forms))
-    assert check.passed and check.detail == "every form has exactly n interior zeros"
+    passed, detail = validate._check_nodes(SimpleNamespace(forms=forms))
+    assert passed and detail == "every form has exactly n interior zeros"
 
 
 def test_residuals_measure_every_state_where_the_sums_of_squares_overflow(monkeypatch):
@@ -151,11 +152,11 @@ def test_residuals_measure_every_state_where_the_sums_of_squares_overflow(monkey
         return norms[-1]
 
     monkeypatch.setattr(oracle, "norm2", recording)
-    check = validate._check_residuals(
+    _, detail = validate._check_residuals(
         SimpleNamespace(params=params, spec=full_spectrum(params), forms=forms))
     assert len(norms) == 2 * 31
     assert all(0.0 < norm < np.inf for norm in norms)
-    assert check.detail == "max relative H-residual 2.203e-01 at n=22 (tolerance 1e-06)"
+    assert detail == "max relative H-residual 2.203e-01 at n=22 (tolerance 1e-06)"
 
 
 @pytest.mark.parametrize("scale", [-530, 0, 520])
@@ -182,8 +183,8 @@ def test_node_count_fails_on_an_extra_root():
         f.sigma, f.tau, f.p, tuple(1000 * c for c in f.coeffs) + (-f.den,), 1000 * f.den)
     xs = np.linspace(1e-3, 30.0, 200_001)  # float64 sampling is exact enough at n = 2
     assert oracle.count_nodes(hyperpoly.evaluate_scaled(forms[2], xs)[0]) == 3
-    check = validate._check_nodes(SimpleNamespace(forms=forms))
-    assert not check.passed and check.detail == "mismatches [(2, 3)]"
+    passed, detail = validate._check_nodes(SimpleNamespace(forms=forms))
+    assert not passed and detail == "mismatches [(2, 3)]"
 
 
 def test_check_order(deep_report, small_report):
@@ -239,9 +240,64 @@ def test_one_count_at_the_asymptote_gives_the_levels_below_it(monkeypatch, b, p,
     assert (oracle.count_cuts(H, [asym]).counts[0] > spec.n_max + 4) == cap_binds
     # every check that solves on a grid; the others count no eigenvalues
     monkeypatch.setattr(validate, "_CHECKS", (
-        validate._check_energies, validate._check_convergence, validate._check_oracle_self,
+        ("spectrum-vs-oracle", validate._check_energies),
+        ("convergence-order", validate._check_convergence),
+        ("oracle-selfcheck", validate._check_oracle_self),
     ))
     shifts = _counting(monkeypatch, kernels, "sturm_counts")
     report = run_validation(params)
     assert report.extras["levels_below_asymptote"] == expect
     assert sum(np.count_nonzero(np.asarray(s[2]) >= asym) for s in shifts) == 1
+
+
+# negative controls: each failure branch of a check, on a well record built
+# by hand
+PR = make_params(7, "1/2")  # sigma = -15, tau = 14, n_max = 7
+
+
+def test_prefactor_fails_on_a_wrong_exponent_and_a_wrong_length():
+    forms = [hyperpoly.eigenfunction(n, PR) for n in range(3)]
+    wrong_sigma = forms[:1] + [replace(forms[1], sigma=forms[1].sigma + 1)] + forms[2:]
+    assert validate._check_prefactor(SimpleNamespace(params=PR, forms=wrong_sigma)) == (
+        False, "n=1: got (sigma, tau) = (-14, 14)")
+    too_short = forms[:2] + [forms[1]]
+    assert validate._check_prefactor(SimpleNamespace(params=PR, forms=too_short)) == (
+        False, "n=2: series length 3 != 5")
+
+
+def test_convergence_fails_on_equal_refined_levels(monkeypatch):
+    monkeypatch.setattr(oracle, "lowest_eigenvalues", lambda H, m, cuts=None: [0.0, 1.0])
+    well = SimpleNamespace(params=PR, spec=full_spectrum(PR), numeric=[0.0, 1.0, 2.0],
+                           H=SimpleNamespace(grid=oracle.default_grid(PR)))
+    assert validate._check_convergence(well) == (False, "degenerate refinement differences")
+
+
+def test_oracle_selfcheck_fails_on_a_wrong_node_count_and_index(monkeypatch):
+    grid = oracle.RadialGrid(x_min=0.1, x_max=5.0, n_points=200)
+    xs = grid.points()
+    psi01 = (xs * np.exp(-xs * xs), (xs * xs - 1.0) * np.exp(-xs * xs))
+
+    def shifted(H, eigenvalue):
+        # the exact state, so only the counts are off: one node and two
+        # levels too many
+        n = int(eigenvalue)
+        sym = psi01[n] / np.sqrt(oracle.inner_product(psi01[n], psi01[n], grid))
+        return oracle.EigenResult(index=n + 2, eigenvector=sym, node_count=n + 1, residual=0.0)
+
+    monkeypatch.setattr(oracle, "eigenvector_for", shifted)
+    well = SimpleNamespace(H=SimpleNamespace(grid=grid), psi01=psi01, numeric=[0.0, 1.0])
+    assert validate._check_oracle_self(well) == (
+        False, "n=0 node count 1; n=0 index 2; n=1 node count 2; n=1 index 3")
+
+
+def test_minimum_fails_on_each_broken_claim(monkeypatch):
+    # V_min not below 0, |V'(x0)| far above 1e-8 p (A - B)^2 = 1.2e-6, and a
+    # polynomial that is no palindrome
+    report = analysis.MinimumReport(x0=1.0, v_min=0.0, derivative_residual=-1.0,
+                                    poly_root_probe=(0.0, 0.0))
+    monkeypatch.setattr(analysis, "find_minimum", lambda params: report)
+    monkeypatch.setattr(analysis, "min_polynomial", lambda t, B, p: t)
+    well = SimpleNamespace(params=PR, extras={})
+    assert validate._check_minimum(well) == (
+        False, "V_min = 0 not negative; |V'(x0)| = 1.000e+00; palindrome identity violated")
+    assert well.extras["minimum"] is report
