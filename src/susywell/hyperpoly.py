@@ -404,11 +404,11 @@ def _positive_roots(q) -> "int | None":
     1998, Krandick and Mehlhorn 2006).  With ||q||_2 < 2^bits and
     z = y/2^m, intervals at depth cap are narrower than that, so one that
     still shows two sign changes holds a repeated root, real (a conjugate
-    pair would be two roots) and positive (every root is beyond 2^-bits
-    of 0).  A square-free q never reaches the cap.
+    pair would be two roots) and positive (every nonzero root is beyond
+    2^-bits of 0).  A square-free q never reaches the cap.  A root at
+    y = 0, the origin, is never counted: Descartes' rule skips zero
+    coefficients, and bisection's intervals only end at 0.
     """
-    while not q[0]:
-        q = q[1:]  # a root at y = 0 is the origin, not a node
     d = len(q) - 1
     changes = _sign_changes(q)
     if changes <= 1:  # Descartes: 0 or 1 positive roots, exactly

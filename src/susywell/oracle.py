@@ -14,14 +14,16 @@ does not depend on the others in its batch, so the bisection path and
 every eigenvalue are those of one level per count, with far fewer calls.
 
 A caller that knows roughly where the levels lie can pass cuts: shifts
-counted once (count_cuts).  For eigenvalue j the largest cut that counts at
-most j and the smallest that counts at least j + 1 enclose it.  The count
-is monotone in the shift under correctly rounded arithmetic, with small
-pivots clamped to -pivmin (Demmel, Dhillon & Ren 1995), and the early exit
-returns the full walk's count; so a bisection midpoint at or below the
-first cut, or at or above the second, is answered without a count, and a
-pass counts only the midpoints inside some enclosure.  The walk is the
-plain one, bit for bit; a cut in the wrong place only widens an enclosure.
+counted once (count_cuts).  A solve keeps every count it knows, the cuts'
+and each pass's, in one table sorted by shift.  The count is monotone in
+the shift under correctly rounded arithmetic, with small pivots clamped to
+-pivmin (Demmel, Dhillon & Ren 1995), and the early exit returns the full
+walk's count; so a midpoint between known shifts s_i < x < s_(i+1) counts
+from c_i to c_(i+1), and c_i >= j + 1 puts it above eigenvalue j and
+c_(i+1) <= j below it.  A pass counts only the midpoints that neither
+decides for some wanted j, and each level reads c_i: plain bisection's
+decision either way, bit for bit.  A cut in the wrong place only decides
+fewer levels.
 Shifts held below the continuum keep every count short, because the walk
 stops early past their turning points.
 """
@@ -137,8 +139,8 @@ def build_hamiltonian(params: ModelParams, grid: RadialGrid) -> DiscretizedHamil
 
 @dataclass(frozen=True)
 class Cuts:
-    """Sturm counts at sorted shifts of one matrix, from one kernel call:
-    counts[i] of its eigenvalues lie strictly below shifts[i]."""
+    """Sturm counts at sorted shifts of one matrix: counts[i] of its
+    eigenvalues lie strictly below shifts[i]."""
 
     shifts: np.ndarray
     counts: np.ndarray
@@ -150,18 +152,19 @@ def count_cuts(H: DiscretizedHamiltonian, shifts) -> Cuts:
     return Cuts(shifts, kernels.sturm_counts(H.diag, H.offdiag * H.offdiag, shifts))
 
 
-def _multisection_pass(diag, off2, lo, hi, a, b):
+def _multisection_pass(diag, off2, lo, hi, m, known):
     """Sturm counts, from at most one kernel call, at every midpoint that
     plain bisection can reach from the brackets (lo, hi) within the returned
-    number of levels and that lies inside some enclosure (a_j, b_j): as many
-    levels (at least one) as keep the midpoints within kernels.SHIFT_BATCH
-    for the distinct brackets.  No call is made when no midpoint needs one.
+    number of levels and that the table known (Cuts) leaves open for a
+    wanted index: as many levels (at least one) as keep the midpoints within
+    kernels.SHIFT_BATCH for the distinct brackets.  Between known shifts
+    s_i < x < s_(i+1), x is open when c_i < min(c_(i+1), m).  No call is
+    made when no midpoint needs one.
 
     The midpoints are built with the same 0.5 * (lo + hi) arithmetic as
     the bisection that looks them up, so every lookup hits exactly.
-    Brackets and enclosures are monotone in the eigenvalue index, so equal
-    brackets are neighbours; a bracket is expanded once however many
-    eigenvalues share it.
+    Brackets are monotone in the eigenvalue index, so equal brackets are
+    neighbours; a bracket is expanded once however many eigenvalues share it.
     """
     fresh = np.ones(lo.shape[0], dtype=bool)
     fresh[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
@@ -172,14 +175,10 @@ def _multisection_pass(diag, off2, lo, hi, a, b):
         mid = 0.5 * (left + right)
         points.append(mid)
         left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
-    shifts = np.sort(np.concatenate(points))
-    keep = np.ones(shifts.shape[0], dtype=bool)
-    keep[1:] = shifts[1:] != shifts[:-1]
-    shifts = shifts[keep]
-    # b is nondecreasing: the first enclosure that ends above a shift is the
-    # only one that can hold it
-    first = np.minimum(np.searchsorted(b, shifts, side="right"), b.shape[0] - 1)
-    shifts = shifts[(a[first] < shifts) & (shifts < b[first])]
+    shifts = np.unique(np.concatenate(points))
+    at = np.searchsorted(known.shifts, shifts, side="right") - 1
+    c = known.counts
+    shifts = shifts[(known.shifts[at] < shifts) & (c[at] < np.minimum(c[at + 1], m))]
     if shifts.shape[0] == 0:
         return shifts, shifts, depth
     return shifts, kernels.sturm_counts(diag, off2, shifts), depth
@@ -210,26 +209,22 @@ def lowest_eigenvalues(
     lo = np.full(m, lo_bound)
     hi = np.full(m, hi_bound)
     want = np.arange(1, m + 1)  # eigenvalue j is below x iff count(x) >= j+1
-    # enclosure (a_j, b_j): the largest cut that counts at most j and the
-    # smallest that counts at least j + 1, or none (-inf, inf); with the counts
-    # monotone in the shift, a midpoint <= a_j counts at most j and one >= b_j
-    # at least j + 1, so those levels need no count
+    # every count the solve knows, sorted by shift; the count at the largest
+    # known shift at or below a midpoint decides its level (see the module)
     if cuts is None:
         cuts = Cuts(np.empty(0), np.empty(0, dtype=np.int64))
-    edges = np.concatenate(([-np.inf], cuts.shifts, [np.inf]))
-    at = np.searchsorted(cuts.counts, want - 1, side="right")
-    a, b = edges[at], edges[at + 1]
+    known = Cuts(np.concatenate(([-np.inf], cuts.shifts, [np.inf])),
+                 np.concatenate(([0], cuts.counts, [n])))
     levels_left = 0
     for _ in range(_MAX_BISECT_ITER):
         if np.all(hi - lo <= tol):
             break
         if levels_left == 0:
-            shifts, counts, levels_left = _multisection_pass(diag, off2, lo, hi, a, b)
+            shifts, counts, levels_left = _multisection_pass(diag, off2, lo, hi, m, known)
+            at = np.searchsorted(known.shifts, shifts)
+            known = Cuts(np.insert(known.shifts, at, shifts), np.insert(known.counts, at, counts))
         mid = 0.5 * (lo + hi)
-        below = mid >= b
-        ask = (mid > a) & ~below
-        if ask.any():
-            below[ask] = counts[np.searchsorted(shifts, mid[ask])] >= want[ask]
+        below = known.counts[np.searchsorted(known.shifts, mid, side="right") - 1] >= want
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
         levels_left -= 1
@@ -318,8 +313,6 @@ def count_nodes(values: np.ndarray) -> int:
     """Strict sign changes, ignoring entries below 1e-12 * max|values|."""
     scale = float(np.max(np.abs(values)))
     kept = values[np.abs(values) > 1e-12 * scale]
-    if kept.size < 2:
-        return 0
     signs = np.sign(kept)
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 

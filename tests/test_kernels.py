@@ -98,9 +98,10 @@ def _count_steps(diag, off2, lo, hi):
 
 @pytest.mark.parametrize("b, p", [("7", "1/2"), ("3/5", "1/2"), ("20", "1/4")])
 def test_counts_never_decrease_at_sorted_shifts_on_validate_hamiltonians(b, p):
-    # monotone counts are the premise of validate's cut enclosures; Demmel,
-    # Dhillon & Ren (1995) show when the count of this recurrence is monotone
-    # in correctly rounded arithmetic.  Two parts of this kernel must keep
+    # monotone counts are the premise of the bisection's table of known
+    # counts, which validate seeds with its cuts; Demmel, Dhillon & Ren
+    # (1995) show when the count of this recurrence is monotone in
+    # correctly rounded arithmetic.  Two parts of this kernel must keep
     # it so: the clamp of a pivot smaller than pivmin to -pivmin, which is a
     # nondecreasing map of the pivot, and the early exit, which returns the
     # count of the full walk.  The shifts run over every float next to the

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susywell import kernels, oracle, validate
 from susywell.hyperpoly import eigenfunction, evaluate, ground_form
@@ -79,15 +81,17 @@ def _box_hamiltonian(n=4000):
     )
 
 
+def _gershgorin(H):
+    reach = np.zeros_like(H.diag)
+    reach[:-1] += np.abs(H.offdiag)
+    reach[1:] += np.abs(H.offdiag)
+    return float(np.min(H.diag - reach)), float(np.max(H.diag + reach))
+
+
 def _reference_lowest(H, m, count=kernels.sturm_counts):
     # one bisection level per count: the loop multisection must reproduce
     off2 = H.offdiag * H.offdiag
-    radius = np.abs(H.offdiag)
-    reach = np.zeros_like(H.diag)
-    reach[:-1] += radius
-    reach[1:] += radius
-    lo_bound = float(np.min(H.diag - reach))
-    hi_bound = float(np.max(H.diag + reach))
+    lo_bound, hi_bound = _gershgorin(H)
     tol = oracle._BISECT_REL_TOL * max(abs(lo_bound), abs(hi_bound), 1.0)
     lo = np.full(m, lo_bound)
     hi = np.full(m, hi_bound)
@@ -132,10 +136,7 @@ def plain_bisection():
 
 
 def _cut_shifts(kind, H, levels):
-    reach = np.zeros_like(H.diag)
-    reach[:-1] += np.abs(H.offdiag)
-    reach[1:] += np.abs(H.offdiag)
-    lo_bound, hi_bound = float(np.min(H.diag - reach)), float(np.max(H.diag + reach))
+    lo_bound, hi_bound = _gershgorin(H)
     between = [0.5 * (x + y) for x, y in zip(levels, levels[1:])]
     correct = between + [levels[-1] + 0.5 * (levels[-1] - levels[-2])]
     return {
@@ -157,8 +158,9 @@ def _cut_shifts(kind, H, levels):
 )
 def test_multisection_matches_plain_bisection(plain_bisection, case, cuts):
     # cuts that bound the levels, bound them one level off, sit on them, lie
-    # outside the Gershgorin bounds or repeat: each widens or narrows the
-    # enclosures, and none moves a level off the plain bisection's floats
+    # outside the Gershgorin bounds or repeat: each changes which levels the
+    # table of known counts decides, and none moves a level off the plain
+    # bisection's floats
     H, levels = plain_bisection(case)
     if cuts is not None:
         cuts = oracle.count_cuts(H, _cut_shifts(cuts, H, levels))
@@ -174,6 +176,86 @@ def test_validate_main_solve_matches_plain_bisection(plain_bisection, case):
     assert len(levels) == spec.n_max + 4
     numeric, _ = validate._bound_levels(H, spec)
     assert numeric == levels[:spec.n_max + 1]
+
+
+def _recorded_counts(mp):
+    """Patch kernels.sturm_counts through mp to record (shifts, counts) of
+    every call into the returned list."""
+    batches = []
+    count = kernels.sturm_counts
+
+    def recording(diag, off2, shifts):
+        counts = count(diag, off2, shifts)
+        batches.append((np.array(shifts), counts))
+        return counts
+
+    mp.setattr(kernels, "sturm_counts", recording)
+    return batches
+
+
+def _assert_passes_count_only_open_shifts(batches, n, m):
+    # replays a solve whose first count call were its cuts: every shift a
+    # pass counts is new, and its neighbours in the table of counts known
+    # before the pass, c_i below and c_(i+1) above, leave some wanted index
+    # j open, c_i <= j < c_(i+1) and j < m
+    (cut_shifts, cut_counts), *passes = batches
+    shifts = np.concatenate(([-np.inf], cut_shifts, [np.inf]))
+    counts = np.concatenate(([0], cut_counts, [n]))
+    for batch, batch_counts in passes:
+        at = np.searchsorted(shifts, batch, side="right") - 1
+        assert np.all(shifts[at] < batch)
+        assert np.all(counts[at] < np.minimum(counts[at + 1], m))
+        order = np.argsort(np.concatenate((shifts, batch)), kind="stable")
+        shifts = np.concatenate((shifts, batch))[order]
+        counts = np.concatenate((counts, batch_counts))[order]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_any_cuts_give_the_plain_bisection_floats(data):
+    # exact zeros off the diagonal split the matrix, and equal diagonal
+    # entries then give repeated eigenvalues; the cuts may be absent,
+    # repeated, outside the Gershgorin bounds, at the first midpoint or on
+    # eigenvalues
+    n = data.draw(st.integers(1, 60))
+    diag = np.array(data.draw(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                                                 st.floats(-50.0, 50.0)),
+                                       min_size=n, max_size=n)))
+    offdiag = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+                                          min_size=n - 1, max_size=n - 1)))
+    H = DiscretizedHamiltonian(grid=None, diag=diag, offdiag=offdiag)
+    m = data.draw(st.integers(1, n))
+    lo_bound, hi_bound = _gershgorin(H)
+    eigenvalues = np.linalg.eigvalsh(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1))
+    special = [lo_bound - 1.0, lo_bound, hi_bound, hi_bound + 1.0, 0.5 * (lo_bound + hi_bound)]
+    cuts = data.draw(st.lists(st.one_of(st.sampled_from(special + list(eigenvalues)),
+                                        st.floats(-100.0, 100.0)), max_size=12))
+    cuts += data.draw(st.lists(st.sampled_from(cuts), max_size=4)) if cuts else []
+    with pytest.MonkeyPatch.context() as mp:
+        batches = _recorded_counts(mp)
+        levels = lowest_eigenvalues(H, m, oracle.count_cuts(H, cuts))
+    assert levels == _reference_lowest(H, m)
+    _assert_passes_count_only_open_shifts(batches, n, m)
+
+
+def test_levels_above_the_last_cut_read_the_count_at_infinity():
+    # m = n and a cut between the two top levels: the top level's bracket
+    # lies between that cut, which counts n - 1, and +inf, which counts n
+    H = DiscretizedHamiltonian(grid=None, diag=np.array([1.0, 2.0, 3.0]),
+                               offdiag=np.array([-1.0, -1.0]))
+    assert lowest_eigenvalues(H, 3, oracle.count_cuts(H, [3.0])) == _reference_lowest(H, 3)
+
+
+@pytest.mark.parametrize("b, p", [("7", "1/2"), ("10", "1/4")])
+def test_passes_count_only_shifts_the_known_counts_leave_open(monkeypatch, b, p):
+    # validate's main solve, seeded with its cuts
+    batches = _recorded_counts(monkeypatch)
+    params = make_params(b, p)
+    H = build_hamiltonian(params, default_grid(params))
+    spec = full_spectrum(params)
+    validate._bound_levels(H, spec)
+    assert len(batches) > 1
+    _assert_passes_count_only_open_shifts(batches, H.diag.size, spec.n_max + 1)
 
 
 def test_cuts_are_counted_sorted_in_one_call(monkeypatch):
@@ -369,6 +451,9 @@ def test_inner_product_and_nodes():
     series = (np.cosh(2.0 * xs) - 2.0 * np.cosh(xs)) * np.exp(-2.0 * xs)
     assert count_nodes(series) == 1
     assert count_nodes(np.zeros(10)) == 0
+    # one sample kept: no pair of signs to compare
+    assert count_nodes(np.array([0.0, 1.0, 0.0])) == 0
+    assert count_nodes(np.array([1e-20, 1.0, -1e-20])) == 0
     with pytest.raises(ValueError):
         inner_product(v[:-1], v, grid)
 
