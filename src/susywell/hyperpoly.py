@@ -6,12 +6,22 @@ a finite series sum_k a_k cosh(2kpx).  Applying the creation operator
 series picks up two more terms.  Coefficients are exact: integer numerators
 over one positive denominator per form.  Every command that builds
 bound-state forms draws them from `ladder_forms`, which decides whether
-they fit float64.  Numeric evaluation factors out the dominant exponential
-so values, ratios and residuals stay computable where the raw numbers
-would under- or overflow.  Every evaluator sums the series through one
-table of exp(-2jpx) (`_scaled_series`), for one form or for many that
-share p.  Evaluators take numpy arrays of x > 0 and return arrays; a
-scalar x is read as a 0-d array.
+they fit float64.
+
+Evaluation goes through the integer polynomial Q(y) = den * P(1 + y) in
+y = cosh(2px) - 1 = 2 sinh(px)^2 (`HyperbolicForm.shifted`, which the node
+count reads too).  Where y <= 1 Horner's rule runs in y; past it, in 1/y
+over the reversed coefficients, with K log y (K the degree) folded into the
+one exponent that also carries the prefactor, so values, ratios and
+residuals stay computable where the raw numbers would under- or overflow.
+Each Horner step is two in-place passes over the points, and no
+exponential table is built.  The samples stay within 1e-8 of the peak
+where a float64 sum of a_k cosh(2kpx) cancels, as at (B, p) = (20, 1/4) up
+to n = 40.  Steep wells are still wrong: at (7, 1/40) Q's coefficients
+cancel too (6e-3 of the peak at n = 20, 1e6 at n = 40), and no error bound
+is computed and no form refused.
+Evaluators take numpy arrays of x > 0 and return arrays; a scalar x is
+read as a 0-d array.
 """
 
 from __future__ import annotations
@@ -20,17 +30,14 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .params import Float64RangeError, LadderParams, ModelParams, ladder, level_ratio
-from .potential import _positive_x, coth, csch_squared, log_cosh, log_sinh, sech_squared
+from .potential import _LN2, _positive_x, coth, csch_squared, log_cosh, log_sinh, sech_squared
 from .spectrum import max_bound_states
-
-# float64 entries in _scaled_series' exponential table; it is built a block
-# of points at a time, so it never holds (2K_max + 1) x N floats
-_TABLE_ENTRIES = 2**19
-
 
 @dataclass(frozen=True)
 class HyperbolicForm:
@@ -58,6 +65,24 @@ class HyperbolicForm:
     @property
     def top_index(self) -> int:
         return len(self.coeffs) - 1
+
+    @cached_property
+    def shifted(self) -> tuple[int, ...]:
+        """Integer coefficients, lowest power first, of Q(y) = den * P(1 + y),
+        y = cosh(2px) - 1: sum_k coeffs[k] T_k(1 + y), since
+        cosh(2kpx) = T_k(cosh(2px)).  Built once per form, by Clenshaw's
+        recurrence b_k = coeffs[k] + 2(1 + y) b_(k+1) - b_(k+2) on integer
+        polynomials, with Q = coeffs[0] + (1 + y) b_1 - b_2.  The top
+        coefficient is 2^(K-1) coeffs[K] for K >= 1.
+        """
+        b1 = b2 = [0] * len(self.coeffs)
+        for a in self.coeffs[:0:-1]:
+            b = [2 * (c + d) - e for c, d, e in zip(b1, [0, *b1], b2)]
+            b[0] += a
+            b1, b2 = b, b1
+        q = [c + d - e for c, d, e in zip(b1, [0, *b1], b2)]
+        q[0] += self.coeffs[0]
+        return tuple(q)
 
 
 def ground_form(rung: LadderParams, p) -> HyperbolicForm:
@@ -182,29 +207,29 @@ def decay_exponent(form: HyperbolicForm) -> Fraction:
     return 3 * form.p * form.sigma + form.p * form.tau + 2 * form.p * form.top_index
 
 
-def _float_terms(form: HyperbolicForm, order: int) -> list[tuple]:
-    """The nonzero coefficients as float64 rows (k, a_k, a_k r_k, a_k r_k^2)
-    with r_k = 2kp, cut after the derivative `order`.
+def _check_range(form: HyperbolicForm, order: int) -> None:
+    """Float64RangeError when a coefficient a_k = coeffs[k] / den, or a sum
+    of |a_k| (2kp)^d over k, for a derivative d <= `order`, overflows float64.
 
-    The one place the exact coefficients become floats.  Every scaled
-    exponential is at most 1, so each series stays below the sum of its
-    column; Float64RangeError when a coefficient or a column sum overflows.
+    The one float64 gate: `ladder_forms` runs it on every form it yields.
+    The evaluators need no such bound, since they scale Q by a power of two,
+    but the gate fixes which forms a command refuses, and so its exit codes.
     """
     p = float(form.p)
-    rows = []
+    sums = [0.0] * (order + 1)
     for k, c in enumerate(form.coeffs):
         try:
             a = c / form.den
         except OverflowError:
-            a = math.inf
+            raise _overflow(form.top_index) from None
         if a == 0.0:
             continue
         rate = 2.0 * k * p
-        rows.append((k, a, a * rate, a * rate * rate)[:order + 2])
-    for column in list(zip(*rows))[1:]:
-        if not math.isfinite(sum(map(abs, column))):
-            raise _overflow(form.top_index)
-    return rows
+        for d in range(order + 1):
+            sums[d] += abs(a)
+            a *= rate
+    if not all(map(math.isfinite, sums)):
+        raise _overflow(form.top_index)
 
 
 def _overflow(top_index: int) -> Float64RangeError:
@@ -217,7 +242,7 @@ def ladder_forms(params: ModelParams, ns, order: int = 0) -> Iterator[Hyperbolic
     """The bound-state forms n in ns, built one at a time as they are drawn,
     each tested against float64 with its derivatives up to `order`.
 
-    Float64RangeError, as `_float_terms` raises it: before the chain is
+    Float64RangeError, as `_check_range` raises it: before the chain is
     built when the top coefficient has more than 1025 bits, and so surely
     overflows; otherwise from the built form's own test, which also decides
     the one-bit band below.  A top past 2^1025 fails that test too, with the
@@ -229,60 +254,85 @@ def ladder_forms(params: ModelParams, ns, order: int = 0) -> Iterator[Hyperbolic
         if n <= n_max and _top_bits(n, params) > 1025:  # _top_bits needs n <= n_max
             raise _overflow(2 * n)
         form = eigenfunction(n, params)  # IndexError past the cutoff
-        _float_terms(form, order)
+        _check_range(form, order)
         yield form
 
 
-def _log_scale(form: HyperbolicForm, u, log_cosh_3u, log_sinh_u):
-    """Log of the factor taken out of the series: the prefactor times exp(2Ku)."""
-    return (float(form.sigma) * log_cosh_3u
-            + float(form.tau) * log_sinh_u
-            + 2.0 * form.top_index * u)
+class _Points(NamedTuple):
+    """The points u = p*x as every Horner sum reads them, in x's shape.
 
-
-def _scaled_series(forms, x, order: int):
-    """u = p*x, the forms that share p, and for each [P, P', ...] up to the
-    derivative `order`, scaled by exp(-2Ku) with K the form's top index:
-    the form is the scaled P times exp(_log_scale).
-
-    `forms` may be an iterator: each form is tested against float64 when it
-    is drawn, so a Float64RangeError comes before any later form is built.
-    cosh(2kpx)*exp(-2Ku) = (exp(-2(K-k)u) + exp(-2(K+k)u)) / 2 keeps every
-    exponent nonpositive, so nothing overflows regardless of x.  One table
-    of exp(-2ju), j = 0..2K_max, serves every form.
+    y = 2 sinh(u)^2 = cosh(2u) - 1 where y <= 1 (`near`), w = 1/y past it,
+    and log y past it (0 where y <= 1), taken from log_sinh so that nothing
+    overflows at any u.
     """
-    x = _positive_x(x)
-    rows = [(form, _float_terms(form, order)) for form in forms]
-    if len({form.p for form, _ in rows}) != 1:
-        raise ValueError("sample_forms needs a nonempty list of forms with one p")
-    u = float(rows[0][0].p) * x
-    flat = u.reshape(-1)
-    width = 2 * max(form.top_index for form, _ in rows) + 1
-    block = max(1, _TABLE_ENTRIES // width)
-    # the exponential table, then two scratch rows that each term of the
-    # value's sum runs through in place
-    table = np.empty((width + 2, min(block, flat.size)))
-    sums = [[np.zeros_like(u) for _ in range(order + 1)] for _ in rows]
-    for start in range(0, flat.size, block):
-        ub = flat[start:start + block]
-        tb = table[:, :ub.size]
-        c, t = tb[width], tb[width + 1]
-        for j in range(width):
-            np.exp(-2.0 * j * ub, out=tb[j])
-        for (form, terms), parts in zip(rows, sums):
-            out = [s.reshape(-1)[start:start + block] for s in parts]
-            K = form.top_index
-            for k, *a in terms:
-                lo, hi = tb[K - k], tb[K + k]
-                np.add(lo, hi, out=c)
-                c *= 0.5
-                np.multiply(c, a[0], out=t)
-                out[0] += t
-                if order > 0:
-                    out[1] += a[1] * (0.5 * (lo - hi))
-                if order > 1:
-                    out[2] += a[2] * c
-    return u, [form for form, _ in rows], sums
+
+    u: np.ndarray
+    near: np.ndarray
+    y: np.ndarray  # at the near points, flattened
+    w: np.ndarray  # at the far points, flattened
+    log_y: np.ndarray
+    log_cosh_3u: np.ndarray
+    log_sinh_u: np.ndarray
+
+
+def _points(p, x) -> _Points:
+    u = float(p) * _positive_x(x)
+    with np.errstate(over="ignore"):
+        y = 2.0 * np.sinh(u) ** 2  # inf past u ~ 355, where w reads 0
+    near = y <= 1.0
+    log_sinh_u = log_sinh(u)
+    return _Points(u=u, near=near, y=y[near], w=1.0 / y[~near],
+                   log_y=np.where(near, 0.0, _LN2 + 2.0 * log_sinh_u),
+                   log_cosh_3u=log_cosh(3.0 * u), log_sinh_u=log_sinh_u)
+
+
+def _horner(coeffs, z: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] z^(m - i), m = len(coeffs) - 1, by Horner's rule:
+    two in-place passes per coefficient."""
+    r = np.full_like(z, coeffs[0] if coeffs else 0.0)
+    for c in coeffs[1:]:
+        r *= z
+        r += c
+    return r
+
+
+def _mantissa(coeffs, pts: _Points) -> np.ndarray:
+    """Q(y) for Q with float coefficients `coeffs`, lowest power first:
+    Horner in y where y <= 1, and Q(y) / y^deg Q, Horner in 1/y over the
+    reversed coefficients, past it.  Every partial sum is then bounded by
+    the sum of |coeffs|."""
+    out = np.empty_like(pts.u)
+    out[pts.near] = _horner(coeffs[::-1], pts.y)
+    out[~pts.near] = _horner(coeffs, pts.w)
+    return out
+
+
+def _series(form: HyperbolicForm, pts: _Points, order: int):
+    """The scaled Q, Q', ... up to the derivative `order` at the points, and
+    the exponent that scales them back: Q^(d)(y) / (den 2^s), divided by
+    y^(K-d) where y > 1, with K the degree of Q, and
+
+        log of the prefactor + s log 2 + K log y (where y > 1),
+
+    the one exponent every evaluator multiplies by.  s = 0, so the mantissa
+    keeps the scale of the series, unless a coefficient of Q / den passes
+    2^768; then 2^s, taken from the integers, brings the largest to about
+    2^768.  Q's top coefficient is 2^(K-1) times the series' top, so Q may
+    pass float64 where the series does not; the 2^256 left above 2^768
+    holds the Horner sums of K + 1 terms, the factors j and j(j - 1) of Q'
+    and Q'', and the chain rule's.  Each float is rounded once from the
+    exact integers.
+    """
+    q = form.shifted
+    s = max(0, max(abs(c).bit_length() for c in q) - form.den.bit_length() - 768)
+    polys = [q]
+    for _ in range(order):
+        polys.append([j * c for j, c in enumerate(polys[-1])][1:])
+    den = form.den << s
+    mantissas = [_mantissa([c / den for c in poly], pts) for poly in polys]
+    log_scale = (float(form.sigma) * pts.log_cosh_3u + float(form.tau) * pts.log_sinh_u
+                 + (form.top_index * pts.log_y + s * _LN2))
+    return mantissas, log_scale
 
 
 def evaluate_scaled(form: HyperbolicForm, x) -> tuple[np.ndarray, ...]:
@@ -291,8 +341,8 @@ def evaluate_scaled(form: HyperbolicForm, x) -> tuple[np.ndarray, ...]:
     The mantissa carries the sign (and the zeros) of the series; the
     exponent absorbs the full dynamic range.
     """
-    u, _, [(pm,)] = _scaled_series([form], x, 0)
-    return pm, _log_scale(form, u, log_cosh(3.0 * u), log_sinh(u))
+    (mant,), log_scale = _series(form, _points(form.p, x), 0)
+    return mant, log_scale
 
 
 def evaluate(form: HyperbolicForm, x) -> np.ndarray:
@@ -306,23 +356,43 @@ def sample_forms(forms, x) -> list[np.ndarray]:
     """The values of forms that share p at the points x, one array per
     form, each as `evaluate` gives it.  `forms` may be an iterator: a form
     that overflows float64 raises before any later one is drawn."""
-    u, forms, sums = _scaled_series(forms, x, 0)
-    log_cosh_3u, log_sinh_u = log_cosh(3.0 * u), log_sinh(u)
-    with np.errstate(over="ignore"):
-        for form, (v,) in zip(forms, sums):
-            v *= np.exp(_log_scale(form, u, log_cosh_3u, log_sinh_u))
-    return [v for v, in sums]
+    forms = list(forms)
+    if len({form.p for form in forms}) != 1:
+        raise ValueError("sample_forms needs a nonempty list of forms with one p")
+    pts = _points(forms[0].p, x)
+    samples = []
+    for form in forms:
+        (v,), log_scale = _series(form, pts, 0)
+        with np.errstate(over="ignore"):
+            v *= np.exp(log_scale)
+        samples.append(v)
+    return samples
 
 
 def evaluate_derivatives(form: HyperbolicForm, x) -> tuple[np.ndarray, ...]:
     """(psi, psi', psi'') evaluated analytically from the form.
 
-    Used for operator residuals: no stencil error, only roundoff.
+    Used for operator residuals: no stencil error, only roundoff.  With
+    y = cosh(2u) - 1, dy/dx = 2p sinh(2u), (dy/dx)^2 = 4p^2 y(y + 2) and
+    d2y/dx2 = 4p^2 (1 + y); past y = 1 each term is divided by the power of
+    y that scales its Q^(d), which leaves 2p coth(u), 4p^2 (1 + 2/y) and
+    4p^2 (1 + 1/y).  psi is bit for bit the value `evaluate` gives.
     """
     p = float(form.p)
     sigma, tau = float(form.sigma), float(form.tau)
-    u, _, [(pm, p1m, p2m)] = _scaled_series([form], x, 2)
-    log_scale = _log_scale(form, u, log_cosh(3.0 * u), log_sinh(u))
+    pts = _points(p, x)
+    u, near = pts.u, pts.near
+    (pm, q1, q2), log_scale = _series(form, pts, 2)
+    # d/dx of y, its square and its second derivative, each over y^d where y > 1
+    dy, dy2, d2y = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    dy[near] = 2.0 * p * np.sinh(2.0 * u[near])
+    dy[~near] = 2.0 * p * coth(u[~near])
+    dy2[near] = 4.0 * p * p * pts.y * (pts.y + 2.0)
+    dy2[~near] = 4.0 * p * p * (1.0 + 2.0 * pts.w)
+    d2y[near] = 4.0 * p * p * (1.0 + pts.y)
+    d2y[~near] = 4.0 * p * p * (1.0 + pts.w)
+    p1m = q1 * dy
+    p2m = q2 * dy2 + q1 * d2y
     # logarithmic derivative of the prefactor and its derivative
     m = 3.0 * p * sigma * np.tanh(3.0 * u) + p * tau * coth(u)
     mp = 9.0 * p * p * sigma * sech_squared(3.0 * u) - p * p * tau * csch_squared(u)
@@ -340,35 +410,12 @@ def node_counts(forms) -> list["int | None"]:
     On x > 0 the prefactor is positive and cosh(2kpx) = T_k(c) with
     c = cosh(2px) > 1, so the zeros are the roots of P(c) = sum a_k T_k(c)
     in c > 1: the positive roots of the integer polynomial
-    Q(y) = den * P(1 + y) = sum_k coeffs[k] T_k(1 + y), isolated in Python
+    Q(y) = den * P(1 + y) (`HyperbolicForm.shifted`), isolated in Python
     ints by Descartes' rule of signs with bisection (Vincent; Collins and
     Akritas 1976).  The count is None where Q has a repeated root y > 0: a
     repeated root is no sign change, and bisection would never separate it.
     """
-    shifted = _shifted_chebyshev(max(form.top_index for form in forms))
-    counts = []
-    for form in forms:
-        q = [0] * len(form.coeffs)
-        for a, t in zip(form.coeffs, shifted):
-            for i, c in enumerate(t):
-                q[i] += a * c
-        counts.append(_positive_roots(q))
-    return counts
-
-
-def _shifted_chebyshev(K: int) -> list[list[int]]:
-    """Integer coefficients (lowest power first) of T_k(1 + y), k = 0..K,
-    from T_{k+1} = 2(1 + y) T_k - T_{k-1}."""
-    ts = [[1], [1, 1]]
-    for k in range(1, K):
-        nxt = [0] * (k + 2)
-        for i, c in enumerate(ts[k]):
-            nxt[i] += 2 * c
-            nxt[i + 1] += 2 * c
-        for i, c in enumerate(ts[k - 1]):
-            nxt[i] -= c
-        ts.append(nxt)
-    return ts[:K + 1]
+    return [_positive_roots(list(form.shifted)) for form in forms]
 
 
 def _sign_changes(q) -> int:

@@ -45,8 +45,10 @@ def pivot_floor(off_squared: np.ndarray) -> float:
 
 
 def sturm_counts(diag, off_squared, shifts):
-    """Number of eigenvalues of the symmetric tridiagonal matrix strictly
-    below each shift, via the sign count of the Sturm pivot sequence.
+    """Number of eigenvalues of the symmetric tridiagonal matrix below each
+    shift, via the sign count of the Sturm pivot sequence.  A pivot below
+    pivmin in magnitude counts as negative, so an eigenvalue equal to the
+    shift can be counted: on the 1x1 matrix [3.0] the count at 3.0 is 1.
 
     Each shift's count depends on that shift alone, so batching shifts
     never changes a count."""

@@ -140,7 +140,8 @@ def build_hamiltonian(params: ModelParams, grid: RadialGrid) -> DiscretizedHamil
 @dataclass(frozen=True)
 class Cuts:
     """Sturm counts at sorted shifts of one matrix: counts[i] of its
-    eigenvalues lie strictly below shifts[i]."""
+    eigenvalues lie below shifts[i], an eigenvalue equal to the shift
+    possibly among them (see kernels.sturm_counts)."""
 
     shifts: np.ndarray
     counts: np.ndarray

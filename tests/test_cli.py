@@ -166,6 +166,16 @@ def test_eigenfunction_ground_csv(runner):
     assert len(lines) == 123
 
 
+@pytest.mark.parametrize("n", [20, 30])
+def test_eigenfunction_samples_change_sign_once_per_node(runner, n):
+    # on the default 12000-point grid; cancellation in float64 sums of
+    # cosh(2kpx) printed 204 and 458 sign changes here
+    result = runner.invoke(main, ["eigenfunction", "--B", "20", "--p", "1/4", "-n", str(n)])
+    assert result.exit_code == 0
+    psi = [s["psi"] for s in json.loads(result.output)["samples"] if s["psi"]]
+    assert sum((a > 0) != (b > 0) for a, b in zip(psi, psi[1:])) == n
+
+
 def test_eigenfunction_rejects_unbound_index(runner):
     result = runner.invoke(
         main, ["eigenfunction", "--B", "7", "--p", "0.5", "-n", "8", "--grid-points", "150"]

@@ -32,7 +32,6 @@ from susywell.params import Float64RangeError, LadderParams, ladder, make_params
 from susywell.potential import potential_closed_form, superpotential
 from susywell.spectrum import full_spectrum, max_bound_states
 from closed_form_reference import log2_exact, reference_top
-from series_reference import reference_samples
 
 PR = make_params(7, 0.5)
 
@@ -485,7 +484,7 @@ def test_node_counts_finish_where_coefficients_carry_a_large_prime():
 
 @pytest.mark.parametrize("b, p", [(7, "1/2"), (10, "1/4")])
 def test_sample_forms_match_evaluate_bit_for_bit(b, p):
-    # the orthogonality grid; its exponential table takes 4 and 10 blocks here
+    # the orthogonality grid
     params = make_params(b, p)
     forms = [eigenfunction(n, params) for n in range(max_bound_states(params) + 1)]
     xs = np.linspace(0.005, 30.0, 60_000) / float(params.p)
@@ -493,15 +492,61 @@ def test_sample_forms_match_evaluate_bit_for_bit(b, p):
         assert np.array_equal(values.view(np.int64), evaluate(form, xs).view(np.int64))
 
 
-# grids out to x = 200/p, where the table's entries underflow to subnormals
-# and to 0; 8000 points take two table blocks at both wells
-@pytest.mark.parametrize("b, p, n_top", [("1261/64", "1/4", 40), (7, "1/40", 60)])
-def test_sample_forms_match_the_per_term_reference_bit_for_bit(b, p, n_top):
+def _mp_samples(form, us):
+    """The form at u = p*x from its definition, sum_k a_k cosh(2ku) times the
+    prefactor, at 120 digits; 400 digits give the same float64 values on the
+    forms tested here."""
+    import mpmath
+
+    with mpmath.workdps(120):
+        a = [mpmath.mpf(c) / form.den for c in form.coeffs]
+        sigma = mpmath.mpf(form.sigma.numerator) / form.sigma.denominator
+        tau = mpmath.mpf(form.tau.numerator) / form.tau.denominator
+        out = []
+        for u in us:
+            u = mpmath.mpf(u)
+            e = mpmath.exp(2 * u)
+            total, up, down = 0, 1, 1  # up, down = exp(+-2ku)
+            for ak in a:
+                total += ak * (up + down) / 2
+                up, down = up * e, down / e
+            out.append(float(mpmath.cosh(3 * u) ** sigma * mpmath.sinh(u) ** tau * total))
+    return np.array(out)
+
+
+# (20, 1/4) at n = 20, 30, 40, and the top form of each of the first six
+# validate-deep wells of perfbench seed 1, sampled on every 100th point of
+# the orthogonality grid
+@pytest.mark.parametrize("b, p, n", [
+    (20, "1/4", 20), (20, "1/4", 30), (20, "1/4", 40),
+    ("493/64", "1/4", 16), (26, "2/3", 20), ("1743/80", "3/5", 18),
+    ("423/16", "3/5", 22), ("527/80", "1/5", 17), ("195/8", "3/5", 21)])
+def test_samples_match_high_precision_within_1e_8_of_the_peak(b, p, n):
     params = make_params(b, p)
-    forms = [eigenfunction(n, params) for n in range(n_top + 1)]
-    xs = np.linspace(0.005, 200.0, 8000) / float(params.p)
-    for got, expect in zip(sample_forms(forms, xs), reference_samples(forms, xs)):
-        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    form = eigenfunction(n, params)
+    xs = np.linspace(0.005, 30.0, 60_000)[::100] / float(params.p)
+    expect = _mp_samples(form, float(params.p) * xs)
+    peak = np.max(np.abs(expect))
+    for got in (evaluate(form, xs), sample_forms([form], xs)[0],
+                evaluate_derivatives(form, xs)[0]):
+        assert np.max(np.abs(got - expect)) <= 1e-8 * peak
+
+
+def test_forms_whose_shifted_coefficients_overflow_float64_still_evaluate():
+    # a_k = 2^1000, k = 0..30, passes the float64 gate (the sums of |a_k|
+    # (2kp)^d stay below 2^1024), but Q's top coefficient is 2^29 * 2^1000:
+    # the samples take Q over one power of two from the integers
+    form = HyperbolicForm(sigma=Fraction(-30), tau=Fraction(1), p=Fraction(1, 2),
+                          coeffs=(2**1000,) * 31, den=1)
+    hyperpoly._check_range(form, 2)
+    assert form.shifted[-1] == 2**1029
+    with pytest.raises(OverflowError):
+        float(form.shifted[-1])
+    xs = np.linspace(0.02, 6.0, 300)  # u = 0.01 .. 3, across y = 1
+    expect = _mp_samples(form, 0.5 * xs)
+    for got in (evaluate(form, xs), evaluate_derivatives(form, xs)[0]):
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expect) / expect) < 1e-11
 
 
 def test_orthogonality_exact_only_through_first_rung():

@@ -29,6 +29,16 @@ def test_counts_two_by_two():
     assert counts.tolist() == [0, 1, 2]
 
 
+def test_an_eigenvalue_at_the_shift_is_counted():
+    # the pivot that lands on 0 is clamped to -pivmin and counts as negative
+    assert kernels.sturm_counts(np.array([3.0]), np.array([]), np.array([3.0])).tolist() == [1]
+    H = oracle.DiscretizedHamiltonian(grid=None, diag=np.array([3.0]), offdiag=np.array([]))
+    assert oracle.count_cuts(H, [2.5, 3.0, 3.5]).counts.tolist() == [0, 1, 1]
+    # [[2,-1],[-1,2]] at its eigenvalues 1 and 3
+    counts = kernels.sturm_counts(np.array([2.0, 2.0]), np.array([1.0]), np.array([1.0, 3.0]))
+    assert counts.tolist() == [1, 2]
+
+
 def test_counts_match_dense_eigenvalues():
     rng = np.random.default_rng(42)
     for _ in range(10):

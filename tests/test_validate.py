@@ -156,7 +156,11 @@ def test_residuals_measure_every_state_where_the_sums_of_squares_overflow(monkey
         SimpleNamespace(params=params, spec=full_spectrum(params), forms=forms))
     assert len(norms) == 2 * 31
     assert all(0.0 < norm < np.inf for norm in norms)
-    assert detail == "max relative H-residual 2.203e-01 at n=22 (tolerance 1e-06)"
+    # the forms n >= 2 are no eigenstates (the partner identity holds only at
+    # rung 0), so this residual is the model's: on every 8th point,
+    # 150-digit derivatives of the series give 4.7927e-02 at n = 17, as the
+    # float64 route does
+    assert detail == "max relative H-residual 4.938e-02 at n=17 (tolerance 1e-06)"
 
 
 @pytest.mark.parametrize("scale", [-530, 0, 520])
