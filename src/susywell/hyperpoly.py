@@ -22,6 +22,11 @@ cancel too (6e-3 of the peak at n = 20, 1e6 at n = 40), and no error bound
 is computed and no form refused.
 Evaluators take numpy arrays of x > 0 and return arrays; a scalar x is
 read as a 0-d array.
+
+Node counts read the same Q: its positive roots are the form's zeros.  Most
+are proven by Descartes' bound and exact signs of Q at dyadic points, O(K)
+integer operations a point for degree K; Descartes-rule bisection, with
+its O(K^2) Taylor shifts, runs only where that proof does not close.
 """
 
 from __future__ import annotations
@@ -410,12 +415,80 @@ def node_counts(forms) -> list["int | None"]:
     On x > 0 the prefactor is positive and cosh(2kpx) = T_k(c) with
     c = cosh(2px) > 1, so the zeros are the roots of P(c) = sum a_k T_k(c)
     in c > 1: the positive roots of the integer polynomial
-    Q(y) = den * P(1 + y) (`HyperbolicForm.shifted`), isolated in Python
-    ints by Descartes' rule of signs with bisection (Vincent; Collins and
-    Akritas 1976).  The count is None where Q has a repeated root y > 0: a
+    Q(y) = den * P(1 + y) (`HyperbolicForm.shifted`).  Most counts are
+    proven by exact signs of Q at dyadic points (`_proven_roots`); where
+    those do not settle it, the roots are isolated in Python ints by
+    Descartes' rule of signs with bisection (Vincent; Collins and Akritas
+    1976).  The count is None where Q has a repeated root y > 0: a
     repeated root is no sign change, and bisection would never separate it.
     """
-    return [_positive_roots(list(form.shifted)) for form in forms]
+    counts = []
+    for form in forms:
+        count = _proven_roots(form.shifted)
+        counts.append(_positive_roots(list(form.shifted)) if count is None else count)
+    return counts
+
+
+# the proof's grid: points per octave on its first pass, and the passes,
+# each with twice the points of the one before
+_OCTAVE_POINTS = 8
+_GRID_PASSES = 5
+
+
+def _proven_roots(q) -> "int | None":
+    """Number of roots y > 0 of the integer polynomial q, all of them
+    simple, when exact signs of q at dyadic points prove it; else None.
+
+    Descartes' rule bounds the positive roots, counted with multiplicity,
+    by the D sign changes of the coefficients.  A sign change between two
+    points y < y' where q is nonzero brings a root in (y, y'), so S sign
+    changes along a grid prove S <= distinct roots <= D, and S = D proves
+    D roots, each simple.  The signs run from the one just above 0 (q's
+    lowest nonzero coefficient's) to the one past every root (its top
+    coefficient's); these two differ exactly when D is odd, so S has D's
+    parity, and D - 1 changes before the end prove the D-th.  The grid is
+    2^(j/N), each point rounded to a 16-bit mantissa a times 2^e, from
+    the reciprocal of Kioustelidis' bound for the reversed q up to that
+    bound for q; N is 8 on the first pass and doubles on each of four
+    more.  Floats only choose the points: every sign is exact, from
+    Horner's rule in a on the integers 2^max(0, -e K) q(a 2^e), K the
+    degree of q.
+    """
+    changes = _sign_changes(q)
+    if changes <= 1:  # Descartes: 0 or 1 positive roots, exactly
+        return changes
+    q = q[next(i for i, c in enumerate(q) if c):]  # a root at y = 0 is no node
+    d = len(q) - 1
+    lo, hi = -_root_bound(q[::-1]), _root_bound(q)
+    for n in (_OCTAVE_POINTS << k for k in range(_GRID_PASSES)):
+        mantissas = [round(2.0 ** (15 + r / n)) for r in range(n)]
+        found, positive = 0, q[0] > 0
+        for e in range(lo - 15, hi - 15):  # y = a 2^e with a in [2^15, 2^16)
+            # sum_i terms[i] a^i is q(a 2^e), times 2^(-e K) where e < 0
+            terms = [c << (e * i if e >= 0 else -e * (d - i)) for i, c in enumerate(q)]
+            for a in mantissas:
+                v = 0
+                for t in reversed(terms):
+                    v = v * a + t
+                if v and (v > 0) != positive:
+                    found, positive = found + 1, not positive
+                    if found == changes - 1:
+                        return changes
+    return None
+
+
+def _root_bound(q) -> int:
+    """m with every positive root of the integer polynomial q below 2^m:
+    Kioustelidis' bound, 2 max (|q_i| / |q_d|)^(1/(d - i)) over the
+    coefficients q_i of sign opposite to the top one q_d, rounded up to a
+    power of two, and at least 1."""
+    d = len(q) - 1
+    top = abs(q[-1]).bit_length()
+    m = 0
+    for i, c in enumerate(q[:-1]):
+        if c and (c > 0) != (q[-1] > 0):
+            m = max(m, -((top - 1 - abs(c).bit_length()) // (d - i)) + 1)
+    return m
 
 
 def _sign_changes(q) -> int:
@@ -460,13 +533,8 @@ def _positive_roots(q) -> "int | None":
     changes = _sign_changes(q)
     if changes <= 1:  # Descartes: 0 or 1 positive roots, exactly
         return changes
-    # every positive root lies below 2^m (Kioustelidis' bound); y = 2^m z
-    # maps them into 0 < z < 1
-    top = abs(q[-1]).bit_length()
-    m = 0
-    for i, c in enumerate(q[:-1]):
-        if c and (c > 0) != (q[-1] > 0):
-            m = max(m, -((top - 1 - abs(c).bit_length()) // (d - i)) + 1)
+    # every positive root lies below 2^m; y = 2^m z maps them into 0 < z < 1
+    m = _root_bound(q)
     bits = max(abs(c).bit_length() for c in q) + (d + 1).bit_length()
     cap = m + 2 + (d + 2) * d.bit_length() // 2 + (d - 1) * bits
     count = 0

@@ -18,7 +18,9 @@ full walk, once every later row is diagonally dominant for the batch's
 largest shift and every carried pivot is at least the off-diagonal
 entry it meets (the Gershgorin argument behind tridiagonal bisection:
 Barth, Martin & Wilkinson 1967; Kahan 1966): then no later pivot can be
-negative or clamped.  The Thomas solve is one Python sweep over the rows.
+negative or clamped.  A shifted tridiagonal solve is a Thomas factorization
+with clamped pivots, one Python loop over the rows made once per shift, and
+then a forward and a back substitution sweep per right-hand side.
 """
 
 from __future__ import annotations
@@ -147,35 +149,47 @@ def _count_below(diag, off_squared, shifts, pivmin, edge, tail):
     return counts
 
 
-def shifted_tridiag_solve(diag, off, shift, rhs):
-    """Solve (T - shift*I) x = rhs for symmetric tridiagonal T.
-
-    Thomas sweep with magnitude-clamped pivots: inverse iteration drives
-    the shift onto an eigenvalue by design.
-    """
+def shifted_tridiag_factor(diag, off, shift):
+    """The Thomas factorization of T - shift*I for symmetric tridiagonal T:
+    (pivots, ratios), pivots_i = (diag_i - shift) - off_(i-1) ratios_(i-1)
+    and ratios_i = off_i / pivots_i (0.0 past the last row).  A pivot below
+    pivmin in magnitude is clamped to +-pivmin, keeping its sign: inverse
+    iteration drives the shift onto an eigenvalue by design."""
     diag = np.ascontiguousarray(diag, dtype=np.float64)
     off = np.ascontiguousarray(off, dtype=np.float64)
-    rhs = np.ascontiguousarray(rhs, dtype=np.float64)
-    n = diag.shape[0]
-    if n < 2:
+    if diag.shape[0] < 2:
         raise ValueError("tridiagonal solve needs at least two rows")
     pivmin = pivot_floor(off * off)
-    cp = np.empty(n, dtype=np.float64)
-    x = np.empty(n, dtype=np.float64)
-    # one sweep over all rows: row -1 and the superdiagonal entry past the
-    # last row are 0.0, and x - 0.0 * 0.0 == x exactly; the memoryviews read
-    # and write the entries as Python floats, not numpy scalars
-    cpv, xv = memoryview(cp), memoryview(x)
-    e = c = y = 0.0  # the previous row's superdiagonal entry, cp and x
-    up = np.append(off, 0.0)
-    rows = zip(memoryview(diag - float(shift)), memoryview(up), memoryview(rhs))
-    for i, (d, u, r) in enumerate(rows):
+    pivots, ratios = np.empty_like(diag), np.empty_like(diag)
+    # row -1's off-diagonal entry and ratio are 0.0, and d - 0.0 * 0.0 == d
+    # exactly; the memoryviews read and write the entries as Python floats,
+    # not numpy scalars
+    pv, cv = memoryview(pivots), memoryview(ratios)
+    e = c = 0.0
+    rows = zip(memoryview(diag - float(shift)), memoryview(np.append(off, 0.0)))
+    for i, (d, u) in enumerate(rows):
         den = d - e * c
-        if abs(den) < pivmin:
+        if -pivmin < den < pivmin:
             den = pivmin if den >= 0.0 else -pivmin
-        c = cpv[i] = u / den
-        y = xv[i] = (r - e * y) / den
+        pv[i] = den
+        c = cv[i] = u / den
         e = u
-    for i in range(n - 2, -1, -1):
-        y = xv[i] = xv[i] - cpv[i] * y
-    return x
+    return pivots, ratios
+
+
+def shifted_tridiag_solve(pivots, ratios, off, rhs):
+    """Solve (T - shift*I) x = rhs, given shifted_tridiag_factor's
+    (pivots, ratios) of T - shift*I and T's off-diagonal: one forward and
+    one back substitution sweep, y_i = (rhs_i - off_(i-1) y_(i-1)) / pivots_i
+    and x_i = y_i - ratios_i x_(i+1), each a Python loop over the rows."""
+    off = np.ascontiguousarray(off, dtype=np.float64)
+    rhs = np.ascontiguousarray(rhs, dtype=np.float64)
+    # row -1's off-diagonal entry and y are 0.0, and r - 0.0 * 0.0 == r
+    # exactly; the memoryviews read the entries as Python floats
+    y = 0.0
+    ys = [y := (r - e * y) / den for den, e, r in
+          zip(memoryview(pivots), memoryview(np.append(0.0, off)), memoryview(rhs))]
+    xs = [y := z - c * y for c, z in zip(memoryview(ratios)[-2::-1], ys[-2::-1])]
+    xs.reverse()
+    xs.append(ys[-1])
+    return np.fromiter(xs, np.float64, len(xs))

@@ -253,8 +253,10 @@ def eigenvector_for(H: DiscretizedHamiltonian, eigenvalue: float) -> EigenResult
     rayleigh = float(eigenvalue)
     residual = np.inf
     previous = np.inf
+    # the shift stays fixed, so T - lambda I is factored once
+    pivots, ratios = kernels.shifted_tridiag_factor(H.diag, H.offdiag, eigenvalue)
     for _ in range(_MAX_INVERSE_ITER):
-        w = kernels.shifted_tridiag_solve(H.diag, H.offdiag, eigenvalue, v)
+        w = kernels.shifted_tridiag_solve(pivots, ratios, H.offdiag, v)
         nrm = norm2(w)
         if not np.isfinite(nrm) or nrm == 0.0:
             raise RuntimeError("inverse iteration produced a degenerate vector")

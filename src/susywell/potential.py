@@ -81,16 +81,38 @@ def superpotential_second_derivative(x, rung: LadderParams, p) -> np.ndarray:
             - 2.0 * p * p * B * csch_squared(u) * coth(u))
 
 
+# the last (p, x) the partner potentials were evaluated at, with its terms:
+# validate's shape-invariance scan evaluates V_+ twice and V_- once per rung
+# on one grid, and only A_k and B_k change from rung to rung
+_last_terms = None
+
+
+def _partner_terms(arr: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
+    """(u < SINGULAR_CUTOFF, tanh(3u), coth(u), sech(3u)^2, csch(u)^2) with
+    u = p*x, the four functions taken at x clipped to SINGULAR_CUTOFF / p so
+    that the masked singular branch never overflows.  Memoized on the exact
+    (p, x) of the last call; only _partner reads the arrays."""
+    global _last_terms
+    last = _last_terms
+    if last is not None and last[0] == p and np.array_equal(last[1], arr):
+        return last[2]
+    safe = np.maximum(arr, SINGULAR_CUTOFF / p)
+    terms = (p * arr < SINGULAR_CUTOFF, np.tanh(3.0 * p * safe), coth(p * safe),
+             sech_squared(3.0 * p * safe), csch_squared(p * safe))
+    _last_terms = (p, arr.copy(), terms)
+    return terms
+
+
 def _partner(x, rung: LadderParams, p, plus: bool):
     arr = _positive_x(x)
-    pf = float(p)
-    u = pf * arr
-    # evaluate at clipped x so the masked singular branch never overflows
-    safe = np.maximum(arr, SINGULAR_CUTOFF / pf)
-    w = superpotential(safe, rung, p)
-    wp = superpotential_derivative(safe, rung, p)
+    p = float(p)
+    singular, tanh_3u, coth_u, sech2_3u, csch2_u = _partner_terms(arr, p)
+    A, B = float(rung.A), float(rung.B)
+    # W and W' in superpotential's and superpotential_derivative's order
+    w = A * tanh_3u - B * coth_u
+    wp = 3.0 * p * A * sech2_3u + p * B * csch2_u
     val = w * w + wp if plus else w * w - wp
-    return np.where(u < SINGULAR_CUTOFF, np.inf, val)
+    return np.where(singular, np.inf, val)
 
 
 def partner_minus(x, rung: LadderParams, p) -> np.ndarray:

@@ -1,0 +1,134 @@
+"""Mutation check: every mutant below must make its tests fail.
+
+A mutant is one exact text edit of one file under src/: (name, file, old
+text, new text, pytest arguments).  Each is applied to a fresh copy of
+src/ in a temporary directory, and its tests run against that copy.  The
+check fails when a mutant survives, when its old text does not occur
+exactly once (the code moved: update the mutant or remove it), or when a
+control, an edit that changes no behaviour, is killed (the harness would
+then be counting failures that are not the mutant's).
+
+This file is outside tier-1 collection (pytest collects only test_*.py).
+Run it from anywhere:
+
+    python tests/mutants/run.py            # every mutant
+    python tests/mutants/run.py NAME ...   # only these
+
+It prints one line per mutant and exits 1 on any failure of the check.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/susywell
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest arguments, paths relative to the repository
+    control: bool = False  # an equivalent mutant: it must survive
+
+
+_NODES = ("tests/test_hyperpoly.py", "-k", "proven or bisection or node_counts")
+_PARTNERS = ("tests/test_potential.py", "tests/test_validate.py", "-k",
+             "partner or shape or hyperbolic")
+_THOMAS = ("tests/test_kernels.py", "-k", "solve or factor")
+
+MUTANTS = (
+    # node counts proven at dyadic points (hyperpoly._proven_roots)
+    Mutant("grid sign flipped", "hyperpoly.py",
+           "if v and (v > 0) != positive:", "if v and (v < 0) != positive:", _NODES),
+    Mutant("start sign flipped", "hyperpoly.py",
+           "found, positive = 0, q[0] > 0", "found, positive = 0, q[0] < 0", _NODES),
+    Mutant("parity stop <= for ==", "hyperpoly.py",
+           "if found == changes - 1:", "if found <= changes - 1:", _NODES),
+    Mutant("parity stop one change early", "hyperpoly.py",
+           "if found == changes - 1:", "if found == changes - 2:", _NODES),
+    Mutant("zeros at the origin kept", "hyperpoly.py",
+           "q = q[next(i for i, c in enumerate(q) if c):]", "q = tuple(q)", _NODES),
+    Mutant("scale by 2^(-e i) below 1", "hyperpoly.py",
+           "-e * (d - i)) for i, c", "-e * i) for i, c", _NODES),
+    Mutant("grid starts at y = 1", "hyperpoly.py",
+           "lo, hi = -_root_bound(q[::-1]), _root_bound(q)", "lo, hi = 0, _root_bound(q)",
+           _NODES),
+    # found rises by one from 0 and is tested after every rise, so it reaches
+    # changes - 1 exactly where >= first holds
+    Mutant("parity stop >= for ==", "hyperpoly.py",
+           "if found == changes - 1:", "if found >= changes - 1:", _NODES, control=True),
+    # the four hyperbolic arrays shared across partner-potential calls
+    Mutant("memo ignores p", "potential.py",
+           "if last is not None and last[0] == p and np.array_equal(last[1], arr):",
+           "if last is not None and np.array_equal(last[1], arr):", _PARTNERS),
+    Mutant("memo holds the caller's array", "potential.py",
+           "_last_terms = (p, arr.copy(), terms)", "_last_terms = (p, arr, terms)", _PARTNERS),
+    Mutant("W' summed in another order", "potential.py",
+           "wp = 3.0 * p * A * sech2_3u + p * B * csch2_u",
+           "wp = 3.0 * p * (A * sech2_3u) + p * B * csch2_u", _PARTNERS),
+    # one Thomas factorization per inverse iteration (kernels)
+    Mutant("zero pivot clamped to -pivmin", "kernels.py",
+           "den = pivmin if den >= 0.0 else -pivmin\n        pv[i] = den",
+           "den = pivmin if den > 0.0 else -pivmin\n        pv[i] = den", _THOMAS),
+    Mutant("forward sweep reads off one row late", "kernels.py",
+           "np.append(0.0, off)", "np.append(off, 0.0)", _THOMAS),
+    Mutant("comment reworded", "kernels.py",
+           "# row -1's off-diagonal entry and y are 0.0,",
+           "# row -1's off-diagonal entry and y are zero,", _THOMAS, control=True),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived' or 'stale'."""
+    with tempfile.TemporaryDirectory(prefix="susywell-mutant-") as tmp:
+        src = Path(tmp, "src")
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "susywell" / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            return "stale"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        # the copy replaces src/ on the path; the run writes its caches in tmp
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT),
+               "-o", f"pythonpath={src}",
+               *(str(ROOT / t) if t.startswith("tests/") else t for t in mutant.tests)]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True)
+        if done.returncode not in (0, 1):  # 1: a test failed; 5: none collected
+            raise RuntimeError(f"pytest exited {done.returncode} on mutant "
+                               f"{mutant.name!r}:\n{done.stdout.decode()[-2000:]}")
+        return "survived" if done.returncode == 0 else "killed"
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no mutant named {sorted(unknown)}", file=sys.stderr)
+        return 2
+    failures = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        start = time.perf_counter()
+        outcome = run(mutant)
+        expect = "survived" if mutant.control else "killed"
+        ok = outcome == expect
+        failures += not ok
+        kind = "control" if mutant.control else "mutant"
+        print(f"{'ok  ' if ok else 'FAIL'} {kind} {mutant.name!r}: {outcome} "
+              f"({time.perf_counter() - start:.1f} s, {mutant.file})", flush=True)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

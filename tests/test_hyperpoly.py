@@ -482,6 +482,95 @@ def test_node_counts_finish_where_coefficients_carry_a_large_prime():
     assert node_counts(forms) == list(range(31))
 
 
+def _times(q, factor):
+    """The integer polynomial q * factor, coefficients lowest power first."""
+    out = [0] * (len(q) + len(factor) - 1)
+    for i, a in enumerate(q):
+        for j, b in enumerate(factor):
+            out[i + j] += a * b
+    return out
+
+
+def _linear(root):
+    """den * y - num for root = num/den: its only root is `root`."""
+    root = Fraction(root)
+    return [-root.numerator, root.denominator]
+
+
+_ROOTS = st.fractions(-40, 40, max_denominator=12)
+
+
+@st.composite
+def _integer_polys(draw):
+    """Integer polynomials with roots at 0, repeated roots, negative roots,
+    complex pairs, and distinct roots 2^-200 apart, or with random
+    coefficients."""
+    if draw(st.booleans()):
+        q = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=12))
+        return q if any(q) else [1]
+    q = [draw(st.sampled_from([1, -1, 3]))]
+    for root in draw(st.lists(_ROOTS, max_size=6)):
+        for _ in range(draw(st.integers(1, 3))):
+            q = _times(q, _linear(root))
+    for _ in range(draw(st.integers(0, 2))):  # (y - a)^2 + b^2, b != 0, times L^2
+        a, b = draw(_ROOTS), draw(_ROOTS.filter(bool))
+        den = math.lcm(a.denominator, b.denominator)
+        a, b = int(a * den), int(b * den)
+        q = _times(q, [a * a + b * b, -2 * a * den, den * den])
+    if draw(st.booleans()):
+        near = draw(st.fractions(Fraction(1, 8), 20, max_denominator=12))
+        q = _times(_times(q, _linear(near)), _linear(near + Fraction(1, 3 * 2**200)))
+    return q
+
+
+@settings(max_examples=400, deadline=None)
+@given(q=_integer_polys())
+@example(q=[0, 0, 6, -5, 1])  # y^2 (y - 2)(y - 3)
+@example(q=[4, -4, 1])  # (y - 2)^2
+@example(q=[5, -4, 1])  # (y - 2)^2 + 1
+@example(q=[-5, 9, -5, 1])  # (y - 1)((y - 2)^2 + 1)
+@example(q=[0, 5, -9, 5, -1])  # -y (y - 1)((y - 2)^2 + 1)
+def test_proven_root_count_is_the_bisection_count(q):
+    # where the grid proves a count it is _positive_roots' count; None (a
+    # repeated positive root) is never proven
+    proven = hyperpoly._proven_roots(tuple(q))
+    assert proven is None or proven == hyperpoly._positive_roots(list(q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive=st.sets(st.integers(1, 64), max_size=8),
+       other=st.lists(st.fractions(-40, 0, max_denominator=12), max_size=5))
+def test_simple_real_roots_are_proven_without_bisection(positive, other):
+    # with every root real, Descartes' bound is the count; roots k < k' <= 64
+    # are at least 65/64 apart, more than two steps of the finest grid, so a
+    # point falls between them
+    q = [1]
+    for root in [*positive, *other]:
+        q = _times(q, _linear(root))
+    assert hyperpoly._proven_roots(tuple(q)) == len(positive)
+
+
+# the first twelve seed-1 validate-deep wells of perfbench, with (20, 1/4)
+_PROOF_WELLS = [("20", "1/4"), ("1143/40", "3/5"), ("493/64", "1/4"), ("26", "2/3"),
+                ("1743/80", "3/5"), ("423/16", "3/5"), ("527/80", "1/5"), ("195/8", "3/5"),
+                ("153/10", "2/5"), ("2139/32", "3/2"), ("99/16", "1/5"), ("927/32", "3/4"),
+                ("277/16", "1/2")]
+
+
+def test_node_counts_of_deep_wells_need_no_bisection(monkeypatch):
+    calls = []
+    bisect = hyperpoly._positive_roots
+    monkeypatch.setattr(hyperpoly, "_positive_roots", lambda q: calls.append(q) or bisect(q))
+    for b, p in _PROOF_WELLS:
+        params = make_params(b, p)
+        n_max = max_bound_states(params)
+        forms = [eigenfunction(n, params) for n in range(n_max + 1)]
+        assert node_counts(forms) == list(range(n_max + 1))
+    assert not calls
+    # the counter sees the fallback: a double root is never proven
+    assert node_counts([_from_roots([2, 2])]) == [None] and len(calls) == 1
+
+
 @pytest.mark.parametrize("b, p", [(7, "1/2"), (10, "1/4")])
 def test_sample_forms_match_evaluate_bit_for_bit(b, p):
     # the orthogonality grid

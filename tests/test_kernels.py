@@ -7,6 +7,7 @@ from susywell import kernels, oracle
 from susywell.params import make_params
 from susywell.spectrum import full_spectrum
 from sturm_reference import reference_counts
+from thomas_reference import thomas_solve
 
 
 def _random_tridiag(rng, n):
@@ -268,12 +269,17 @@ def test_every_pivot_clamped_matches_reference(shifts):
     assert np.array_equal(kernels.sturm_counts(diag, off2, shifts), expect)
 
 
+def _solve(diag, off, shift, rhs):
+    return kernels.shifted_tridiag_solve(*kernels.shifted_tridiag_factor(diag, off, shift),
+                                         off, rhs)
+
+
 def test_solve_residual():
     rng = np.random.default_rng(7)
     diag, off = _random_tridiag(rng, 200)
     rhs = rng.standard_normal(200)
     shift = 0.37
-    x = kernels.shifted_tridiag_solve(diag, off, shift, rhs)
+    x = _solve(diag, off, shift, rhs)
     m = _dense(diag, off) - shift * np.eye(200)
     assert np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs) < 1e-9
 
@@ -285,7 +291,7 @@ def test_solve_survives_singular_shift():
     off = np.array([-1.0, -1.0])
     eigs = np.linalg.eigvalsh(_dense(diag, off))
     rhs = np.ones(3)
-    x = kernels.shifted_tridiag_solve(diag, off, float(eigs[0]), rhs)
+    x = _solve(diag, off, float(eigs[0]), rhs)
     assert np.all(np.isfinite(x))
     v = x / np.linalg.norm(x)
     m = _dense(diag, off)
@@ -299,8 +305,40 @@ def test_solve_clamps_first_and_last_pivot():
     diag = np.array([1.0, 3.0, 3.5, 3.0, 2.5, 1.0])
     off = np.array([1.0, -1.0, 0.5, 1.0, 0.0])
     rhs = np.array([0.0, 1.0, -2.0, 3.0, 4.0, 0.0])
-    x = kernels.shifted_tridiag_solve(diag, off, shift, rhs)
+    x = _solve(diag, off, shift, rhs)
     assert np.all(np.isfinite(x))
     m = _dense(diag, off) - shift * np.eye(6)
     assert np.linalg.norm(m @ x - rhs) / np.linalg.norm(rhs) < 1e-12
     assert np.allclose(x[:5], np.linalg.solve(m[:5, :5], rhs[:5]), rtol=1e-12, atol=1e-12)
+
+
+# the tests above: a random system, a singular shift, and zero first and last pivots
+_CLAMPED = (np.array([1.0, 3.0, 3.5, 3.0, 2.5, 1.0]), np.array([1.0, -1.0, 0.5, 1.0, 0.0]), 1.0,
+            np.array([0.0, 1.0, -2.0, 3.0, 4.0, 0.0]))
+
+
+def test_factored_solve_matches_one_pass_thomas_bit_for_bit():
+    rng = np.random.default_rng(11)
+    diag, off = _random_tridiag(rng, 500)
+    cases = [(diag, off, 0.37, rng.standard_normal(500)), _CLAMPED,
+             (np.full(3, 2.0), np.full(2, -1.0), 2.0 - np.sqrt(2.0), np.ones(3)),
+             (np.zeros(4), np.zeros(3), 0.0, np.array([1.0, -2.0, 0.0, -0.0]))]
+    for d, e, shift, rhs in cases:
+        factor = kernels.shifted_tridiag_factor(d, e, shift)
+        # a factorization serves every right-hand side, as in inverse iteration
+        for b in (rhs, rhs[::-1], 3.0 * rhs):
+            x = kernels.shifted_tridiag_solve(*factor, e, b)
+            assert np.array_equal(x.view(np.int64), thomas_solve(d, e, shift, b).view(np.int64))
+
+
+def test_factor_clamps_first_and_last_pivot():
+    diag, off, shift, _ = _CLAMPED
+    pivots, ratios = kernels.shifted_tridiag_factor(diag, off, shift)
+    pivmin = kernels.pivot_floor(off * off)
+    assert pivots[0] == pivots[-1] == pivmin  # 0.0 keeps the + sign
+    assert ratios[-1] == 0.0
+
+
+def test_factor_needs_two_rows():
+    with pytest.raises(ValueError, match="at least two rows"):
+        kernels.shifted_tridiag_factor(np.ones(1), np.zeros(0), 0.0)

@@ -319,7 +319,7 @@ def test_inverse_iteration_that_does_not_converge_raises(monkeypatch, well_7_hal
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_inverse_iteration_on_a_zero_solve_raises(monkeypatch, well_7_half):
     monkeypatch.setattr(kernels, "shifted_tridiag_solve",
-                        lambda diag, offdiag, shift, v: np.zeros_like(v))
+                        lambda pivots, ratios, off, v: np.zeros_like(v))
     with pytest.raises(RuntimeError, match="^inverse iteration produced a degenerate vector$"):
         eigenvector_for(*well_7_half)
 

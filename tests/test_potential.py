@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import partner_reference
 from susywell.params import ladder, make_params, shift_constant
+from susywell.spectrum import max_bound_states
 from susywell.potential import (
     csch_squared,
     partner_minus,
@@ -19,6 +21,9 @@ from susywell.potential import (
 
 PR = make_params(7, 0.5)
 A0 = ladder(PR, 0)
+# shallow, reference, deep and steep wells; the last is a perfbench validate-deep well
+SIX_WELLS = [("3/5", "1/2"), ("7", "1/2"), ("10", "1/4"), ("20", "1/4"), ("1143/40", "3/5"),
+             ("2139/32", "3/2")]
 
 
 def test_superpotential_large_x_limit():
@@ -162,3 +167,40 @@ def test_shape_invariance_sensitivity_control():
     vm = partner_minus(xs, ladder(PR, 1), PR.p)
     wrong = vp - vm - (float(shift_constant(PR, 0)) + 1.0)
     assert np.allclose(wrong, -1.0, atol=1e-9)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("b, p", SIX_WELLS)
+def test_partner_potentials_match_the_unshared_route_bit_for_bit(b, p):
+    # the shape-invariance grid, where the four hyperbolic arrays are shared
+    # by every rung, and a grid reaching into the singular wall
+    params = make_params(b, p)
+    pf = float(params.p)
+    shape_grid = np.geomspace(1e-3 / pf, 30.0 / pf, 10_000)
+    for xs in (shape_grid, np.geomspace(1e-12, 40.0 / pf, 500)):
+        for k in range(max_bound_states(params)):
+            rung, up = ladder(params, k), ladder(params, k + 1)
+            assert np.array_equal(_bits(partner_plus(xs, rung, params.p)),
+                                  _bits(partner_reference.partner(xs, rung, params.p, True)))
+            assert np.array_equal(_bits(partner_minus(xs, up, params.p)),
+                                  _bits(partner_reference.partner(xs, up, params.p, False)))
+            if xs is shape_grid:  # in the wall the residual is inf - inf
+                assert np.array_equal(
+                    _bits(shape_invariance_residual(xs, params, k)),
+                    _bits(partner_reference.shape_invariance_residual(xs, params, k)))
+
+
+def test_shared_hyperbolic_arrays_follow_p_and_the_points():
+    # the same array at another p, and the same array after an in-place
+    # change of its points, must not reuse the last call's terms
+    xs = np.geomspace(0.01, 20.0, 300)
+    for p in (PR.p, 2 * PR.p, PR.p):
+        assert np.array_equal(_bits(partner_plus(xs, A0, p)),
+                              _bits(partner_reference.partner(xs, A0, p, True)))
+    xs *= 1.5
+    assert np.array_equal(_bits(partner_minus(xs, A0, PR.p)),
+                          _bits(partner_reference.partner(xs, A0, PR.p, False)))
+    assert partner_plus(2.0, A0, PR.p) == partner_reference.partner(2.0, A0, PR.p, True)

@@ -12,6 +12,7 @@ from susywell.cli import main
 from susywell.params import make_params
 from susywell.spectrum import full_spectrum, max_bound_states
 from susywell.validate import run_validation
+from partner_reference import shape_invariance_detail
 
 # the ladder construction is exact only through its first rung, so for any
 # parameter set with n_max >= 2 exactly these four checks fail
@@ -305,3 +306,12 @@ def test_minimum_fails_on_each_broken_claim(monkeypatch):
     assert validate._check_minimum(well) == (
         False, "V_min = 0 not negative; |V'(x0)| = 1.000e+00; palindrome identity violated")
     assert well.extras["minimum"] is report
+
+
+@pytest.mark.parametrize("b, p", [("3/5", "1/2"), ("7", "1/2"), ("10", "1/4"), ("20", "1/4"),
+                                  ("1143/40", "3/5"), ("2139/32", "3/2")])
+def test_shape_invariance_detail_matches_the_per_rung_route(b, p):
+    params = make_params(b, p)
+    n_max = max_bound_states(params)
+    well = SimpleNamespace(params=params, spec=SimpleNamespace(n_max=n_max))
+    assert validate._check_shape_invariance(well) == shape_invariance_detail(params, n_max)
