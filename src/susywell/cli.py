@@ -9,7 +9,6 @@ Float64RangeError or GridError raised by any command to one line and exit 2.
 from __future__ import annotations
 
 import errno
-import itertools
 import json
 import math
 import os
@@ -28,9 +27,6 @@ from .spectrum import full_spectrum, max_bound_states, state_decay_rate
 EXIT_VALIDATION_FAILURE = 1
 EXIT_BAD_PARAMETERS = 2
 EXIT_INDEX_OUT_OF_RANGE = 3
-# most float64 samples that one sample_forms call in `figure` returns (32 MB):
-# a fine grid does not hold every state's samples at once
-_FIGURE_SAMPLES = 2**22
 
 
 def sig12(x: float) -> float:
@@ -53,8 +49,6 @@ def _strict(tree):
 _NULLS = {"inf": "null", "-inf": "null", "nan": "null"}
 # the smallest normal float64: below it, `%.12g` writes more digits than repr
 _TINY = sys.float_info.min
-# a _Raw value's stand-in while json.dumps writes the rest of its payload
-_HOLE = "\0"
 # one `eigenfunction` sample as json.dumps lays it out inside a top-level list
 _SAMPLE = '{\n      "x": %s,\n      "psi": %s\n    }'
 
@@ -92,13 +86,16 @@ def _json_list(items: list[str], depth: int) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    """Indented strict JSON: inf and nan are written as null.  A _Raw value is
-    written as it is, so a long array never passes through json.dumps."""
-    raw = [v for v in payload.values() if isinstance(v, _Raw)]
-    head = {k: _HOLE if isinstance(v, _Raw) else v for k, v in payload.items()}
-    text = json.dumps(_strict(head), indent=2, allow_nan=False)
-    parts = text.split(json.dumps(_HOLE), len(raw))
-    return "".join(itertools.chain(*zip(parts, raw), parts[-1:])) + "\n"
+    """Indented strict JSON: inf and nan are written as null.  Each top-level
+    value is written in place: a _Raw value as it stands, so a long array
+    never passes through json.dumps, any other by json.dumps with each of
+    its lines indented one level deeper."""
+    items = []
+    for key, value in payload.items():
+        if not isinstance(value, _Raw):
+            value = json.dumps(_strict(value), indent=2, allow_nan=False).replace("\n", "\n  ")
+        items.append(f"{json.dumps(key)}: {value}")
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
 def _fmt(x: float) -> str:
@@ -363,18 +360,16 @@ def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
     v = potential_closed_form(xs, params)
     spans = []
     threshold = 0.02
-    # the forms are built as sample_forms draws them, so one that overflows
-    # float64 exits 2 before any later one is built; each call holds at most
-    # _FIGURE_SAMPLES values
+    # sample_forms draws every form from ladder_forms before it samples any,
+    # so one that overflows float64 exits 2 before any later one is built or
+    # any state sampled; then it yields one state's samples at a time
     forms = hyperpoly.ladder_forms(params, range(n_max + 1))
-    per_call = max(1, _FIGURE_SAMPLES // xs.size)
-    for _ in range(0, n_max + 1, per_call):
-        for vals in hyperpoly.sample_forms(itertools.islice(forms, per_call), xs):
-            vals = np.abs(vals)
-            # empty, so no line, when no sample clears the threshold: every
-            # sample underflowed to 0, or the largest one is not finite
-            idx = np.flatnonzero(vals > threshold * float(np.max(vals)))
-            spans.append(range(idx[0], idx[-1] + 1) if idx.size else range(0))
+    for vals in hyperpoly.sample_forms(forms, xs):
+        vals = np.abs(vals)
+        # empty, so no line, when no sample clears the threshold: every
+        # sample underflowed to 0, or the largest one is not finite
+        idx = np.flatnonzero(vals > threshold * float(np.max(vals)))
+        spans.append(range(idx[0], idx[-1] + 1) if idx.size else range(0))
     if fmt == "csv":
         blocks = ["x,V," + ",".join(f"E{n}" for n in range(n_max + 1)) + ",asymptote\n"]
         # the level cells change only where a span starts or stops, so each

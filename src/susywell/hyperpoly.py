@@ -357,21 +357,19 @@ def evaluate(form: HyperbolicForm, x) -> np.ndarray:
         return mant * np.exp(log_scale)
 
 
-def sample_forms(forms, x) -> list[np.ndarray]:
-    """The values of forms that share p at the points x, one array per
-    form, each as `evaluate` gives it.  `forms` may be an iterator: a form
-    that overflows float64 raises before any later one is drawn."""
+def sample_forms(forms, x) -> Iterator[np.ndarray]:
+    """The values of forms that share p at the points x, yielded one array
+    per form, each as `evaluate` gives it.  Every form is drawn before any is
+    sampled: from an iterator, one that overflows float64 raises first."""
     forms = list(forms)
     if len({form.p for form in forms}) != 1:
         raise ValueError("sample_forms needs a nonempty list of forms with one p")
     pts = _points(forms[0].p, x)
-    samples = []
     for form in forms:
         (v,), log_scale = _series(form, pts, 0)
         with np.errstate(over="ignore"):
             v *= np.exp(log_scale)
-        samples.append(v)
-    return samples
+        yield v
 
 
 def evaluate_derivatives(form: HyperbolicForm, x) -> tuple[np.ndarray, ...]:

@@ -21,7 +21,7 @@ _LN2 = float(np.log(2.0))
 
 def _positive_x(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):  # NaN fails too
         raise ValueError("x must be positive (domain is the half line x > 0)")
     return arr
 

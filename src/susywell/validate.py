@@ -206,7 +206,7 @@ def _check_nodes(well: _Well) -> tuple[bool, str]:
 def _check_orthogonality(well: _Well) -> tuple[bool, str]:
     p = float(well.params.p)
     grid = oracle.RadialGrid(x_min=0.005 / p, x_max=30.0 / p, n_points=60_000)
-    vecs = hyperpoly.sample_forms(well.forms, grid.points())
+    vecs = list(hyperpoly.sample_forms(well.forms, grid.points()))
     for v in vecs:
         v /= np.sqrt(oracle.inner_product(v, v, grid))
     worst, pair = 0.0, (0, 0)

@@ -44,6 +44,10 @@ _NODES = ("tests/test_hyperpoly.py", "-k", "proven or bisection or node_counts")
 _PARTNERS = ("tests/test_potential.py", "tests/test_validate.py", "-k",
              "partner or shape or hyperbolic")
 _THOMAS = ("tests/test_kernels.py", "-k", "solve or factor")
+_BISECT = ("tests/test_oracle.py", "-k", "bisection or cuts or passes or infinity")
+_GATE = ("tests/test_hyperpoly.py", "tests/test_cli.py", "-k",
+         "top_coefficient or capped or builds_no_form")
+_WRITER = ("tests/test_cli.py", "-k", "raw_values or json")
 
 MUTANTS = (
     # node counts proven at dyadic points (hyperpoly._proven_roots)
@@ -84,6 +88,53 @@ MUTANTS = (
     Mutant("comment reworded", "kernels.py",
            "# row -1's off-diagonal entry and y are 0.0,",
            "# row -1's off-diagonal entry and y are zero,", _THOMAS, control=True),
+    # one sorted table of known Sturm counts decides every bisection level
+    # (oracle.lowest_eigenvalues, oracle._multisection_pass)
+    Mutant("table lookup side='left'", "oracle.py",
+           'known.counts[np.searchsorted(known.shifts, mid, side="right") - 1]',
+           'known.counts[np.searchsorted(known.shifts, mid, side="left") - 1]', _BISECT),
+    Mutant("pass filter without m", "oracle.py",
+           "c[at] < np.minimum(c[at + 1], m)", "c[at] < c[at + 1]", _BISECT),
+    Mutant("pass filter with <=", "oracle.py",
+           "c[at] < np.minimum(c[at + 1], m)", "c[at] <= np.minimum(c[at + 1], m)", _BISECT),
+    Mutant("pass filter without the known-shift test", "oracle.py",
+           "shifts[(known.shifts[at] < shifts) & (c[at]", "shifts[(c[at]", _BISECT),
+    Mutant("pass counts not merged into the table", "oracle.py",
+           "known = Cuts(np.insert(known.shifts, at, shifts), "
+           "np.insert(known.counts, at, counts))", "known = known", _BISECT),
+    Mutant("n - 1 at +inf", "oracle.py",
+           "([0], cuts.counts, [n])", "([0], cuts.counts, [n - 1])", _BISECT),
+    # the one float64 gate for exact forms (hyperpoly.ladder_forms) and the
+    # top coefficient's log2 sum it reads (hyperpoly._top_bits)
+    Mutant("no top test in ladder_forms", "hyperpoly.py",
+           "if n <= n_max and _top_bits(n, params) > 1025:", "if False:", _GATE),
+    Mutant("top threshold 1026", "hyperpoly.py",
+           "_top_bits(n, params) > 1025:", "_top_bits(n, params) > 1026:", _GATE),
+    Mutant("top threshold 1023.99", "hyperpoly.py",
+           "_top_bits(n, params) > 1025:", "_top_bits(n, params) > 1023.99:", _GATE),
+    Mutant("order ignored", "hyperpoly.py",
+           "_check_range(form, order)", "_check_range(form, 0)", _GATE),
+    Mutant("log2(p) for log2(p/2)", "hyperpoly.py",
+           "math.log2(p.denominator) - 1\n", "math.log2(p.denominator)\n", _GATE),
+    # one integer fraction per level (spectrum.full_spectrum)
+    Mutant("level denominator b*e for b*e^2", "spectrum.py",
+           "be2 = a * e, c * b, b * e * e", "be2 = a * e, c * b, b * e",
+           ("tests/test_spectrum.py",)),
+    # the JSON writer lays each top-level value out in place (cli._json_text)
+    Mutant("nested JSON value not re-indented", "cli.py",
+           'allow_nan=False).replace("\\n", "\\n  ")', "allow_nan=False)", _WRITER),
+    # sample_forms draws every form before it samples any
+    Mutant("each form sampled as it is drawn", "hyperpoly.py",
+           "    forms = list(forms)\n"
+           "    if len({form.p for form in forms}) != 1:\n"
+           '        raise ValueError("sample_forms needs a nonempty list of forms with one p")\n'
+           "    pts = _points(forms[0].p, x)\n"
+           "    for form in forms:\n",
+           "    forms = iter(forms)\n"
+           "    first = next(forms)\n"
+           "    pts = _points(first.p, x)\n"
+           "    for form in (f for part in ((first,), forms) for f in part):\n",
+           ("tests/test_cli.py", "-k", "builds_no_form")),
 )
 
 

@@ -283,10 +283,7 @@ def test_figure_json_spans(runner):
         assert lv["x_start"] < lv["x_end"]
 
 
-@pytest.mark.parametrize("per_call", [None, 3])
-def test_figure_spans_match_per_form_evaluate_on_a_deep_well(runner, monkeypatch, per_call):
-    if per_call:  # sample the forms three at a time
-        monkeypatch.setattr(cli, "_FIGURE_SAMPLES", per_call * 400)
+def test_figure_spans_match_per_form_evaluate_on_a_deep_well(runner):
     params = make_params("1261/64", "1/4")
     n_max = max_bound_states(params)
     assert n_max == 40
@@ -304,14 +301,19 @@ def test_figure_spans_match_per_form_evaluate_on_a_deep_well(runner, monkeypatch
 
 
 def test_figure_builds_no_form_past_the_first_that_overflows(runner, monkeypatch):
-    built = []
-    eigenfunction = hyperpoly.eigenfunction
+    built, sampled = [], []
+    eigenfunction, series = hyperpoly.eigenfunction, hyperpoly._series
 
     def counting(n, params):
         built.append(n)
         return eigenfunction(n, params)
 
+    def sampling(form, pts, order):
+        sampled.append(form.top_index)
+        return series(form, pts, order)
+
     monkeypatch.setattr(hyperpoly, "eigenfunction", counting)
+    monkeypatch.setattr(hyperpoly, "_series", sampling)
     # n_max = 5; form 3 is the first whose coefficients overflow float64, and
     # its top coefficient already does, so it fails before its chain is built
     result = runner.invoke(main, ["figure", "--B", "1e150", "--p", "1e149",
@@ -320,6 +322,8 @@ def test_figure_builds_no_form_past_the_first_that_overflows(runner, monkeypatch
     assert result.stderr == ("invalid parameters: coefficients of the exact form with "
                              "top index 6 overflow float64\n")
     assert built == [0, 1, 2]
+    # sample_forms draws every form before it samples any
+    assert sampled == []
 
 
 def test_validate_builds_no_form_past_the_first_that_overflows(runner, monkeypatch):
@@ -600,10 +604,18 @@ def test_json_list_matches_the_encoder_layout(tree):
 
 def test_raw_values_keep_the_payload_order():
     numbers = [1.0, math.nan, -2.5e-300]
-    payload = {"a": 1, "x": numbers, "b": {"c": [math.inf], "d": "\\"}, "y": [], "z": None}
-    raw = {**payload, "x": cli._Raw(cli._json_list(cli._json_numbers(numbers), 1)),
-           "y": cli._Raw(cli._json_list([], 1))}
-    assert cli._json_text(raw) == json.dumps(cli._strict(payload), indent=2) + "\n"
+    # (payload, the keys whose values go in as _Raw)
+    cases = [
+        ({"a": 1, "x": numbers, "b": {"c": [math.inf], "d": "\\"}, "y": [], "z": None},
+         ("x", "y")),
+        ({"s": "\0", "x": numbers}, ("x",)),  # a head string equal to "\0"
+        ({"x": numbers, "a": [{"b": [1, 2]}]}, ("x",)),  # a raw array first
+        ({"a": {"b": {"c": "x\ny"}}, "x": numbers}, ("x",)),  # and last
+    ]
+    for payload, keys in cases:
+        raw = {**payload, **{k: cli._Raw(cli._json_list(cli._json_numbers(payload[k]), 1))
+                             for k in keys}}
+        assert cli._json_text(raw) == json.dumps(cli._strict(payload), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -233,6 +233,9 @@ def test_top_coefficient_check_raises_exactly_past_the_one_bit_band(monkeypatch)
                 next(ladder_forms(params, [n]))
             assert str(exc.value) == (f"coefficients of the exact form with top index {2 * n} "
                                       "overflow float64")
+        else:  # the top test lets the form through to its build
+            with pytest.raises(AssertionError, match="was built"):
+                next(ladder_forms(params, [n]))
         if top >= 2**1025:
             assert raised, (params, n)
             seen["over"] += 1
@@ -616,7 +619,7 @@ def test_samples_match_high_precision_within_1e_8_of_the_peak(b, p, n):
     xs = np.linspace(0.005, 30.0, 60_000)[::100] / float(params.p)
     expect = _mp_samples(form, float(params.p) * xs)
     peak = np.max(np.abs(expect))
-    for got in (evaluate(form, xs), sample_forms([form], xs)[0],
+    for got in (evaluate(form, xs), next(sample_forms([form], xs)),
                 evaluate_derivatives(form, xs)[0]):
         assert np.max(np.abs(got - expect)) <= 1e-8 * peak
 
@@ -687,19 +690,23 @@ def test_form_invariants_enforced():
 def test_domain_errors():
     f0 = eigenfunction(0, PR)
     for fn in (evaluate, evaluate_scaled, evaluate_derivatives,
-               lambda f, x: sample_forms([f], x)):
+               lambda f, x: next(sample_forms([f], x))):
         with pytest.raises(ValueError):
             fn(f0, 0.0)
         with pytest.raises(ValueError):
             fn(f0, np.array([1.0, -2.0]))
+        with pytest.raises(ValueError):
+            fn(f0, np.nan)
+        with pytest.raises(ValueError):
+            fn(f0, np.array([1.0, np.nan]))
 
 
 def test_sample_forms_needs_forms_with_one_p():
     xs = np.array([1.0, 2.0])
     with pytest.raises(ValueError, match="one p"):
-        sample_forms([], xs)
+        next(sample_forms([], xs))
     with pytest.raises(ValueError, match="one p"):
-        sample_forms([eigenfunction(1, PR), eigenfunction(1, make_params(10, "1/4"))], xs)
+        list(sample_forms([eigenfunction(1, PR), eigenfunction(1, make_params(10, "1/4"))], xs))
 
 
 def test_derivative_psi_matches_evaluate_bit_for_bit():

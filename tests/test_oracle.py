@@ -246,6 +246,17 @@ def test_levels_above_the_last_cut_read_the_count_at_infinity():
     assert lowest_eigenvalues(H, 3, oracle.count_cuts(H, [3.0])) == _reference_lowest(H, 3)
 
 
+def test_passes_skip_a_cut_at_a_midpoint(monkeypatch):
+    # the Gershgorin bounds are 0 and 4, so the cut sits on the first
+    # midpoint, with the top level still open above it: the table knows
+    # its count, and no pass counts it again
+    H = DiscretizedHamiltonian(grid=None, diag=np.array([1.0, 2.0, 3.0]),
+                               offdiag=np.array([-1.0, -1.0]))
+    batches = _recorded_counts(monkeypatch)
+    assert lowest_eigenvalues(H, 3, oracle.count_cuts(H, [2.0])) == _reference_lowest(H, 3)
+    _assert_passes_count_only_open_shifts(batches, 3, 3)
+
+
 @pytest.mark.parametrize("b, p", [("7", "1/2"), ("10", "1/4")])
 def test_passes_count_only_shifts_the_known_counts_leave_open(monkeypatch, b, p):
     # validate's main solve, seeded with its cuts

@@ -142,6 +142,10 @@ def test_domain_errors(fn):
         fn(-1.0)
     with pytest.raises(ValueError):
         fn(np.array([1.0, -0.5]))
+    with pytest.raises(ValueError):
+        fn(np.nan)
+    with pytest.raises(ValueError):
+        fn(np.array([1.0, np.nan]))
 
 
 def test_shape_invariance_closes_at_first_rung_only():
