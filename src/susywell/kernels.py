@@ -111,26 +111,25 @@ def _count_below(diag, off_squared, shifts, pivmin, edge, tail):
     top = shifts.max(initial=-np.inf)
     pivots = np.empty((_BLOCK_ROWS + 1, width))  # row 0: the pivot before the block
     rows = list(pivots)
-    floor = np.full(width, pivmin)
     clamped = np.full(width, -pivmin)
-    off_rows = np.broadcast_to(off_squared[:, None], (max(n - 1, 0), width))
+    # row i meets off_rows[i]; row -1 carries +inf and meets 0.0, so row 0's
+    # pivot is (diag_0 - shift) - 0.0 / inf, exactly diag_0 - shift
+    off_rows = np.broadcast_to(np.append(0.0, off_squared)[:, None], (n, width))
     tmp = np.empty(width)
     small = np.empty(width, dtype=bool)
     magnitude = np.empty((_BLOCK_ROWS, width))
     low = np.empty((_BLOCK_ROWS, width), dtype=bool)
     carry = rows[0]
-    np.subtract(diag[0], shifts, out=carry)
-    np.less(np.abs(carry, out=tmp), floor, out=small)
-    np.copyto(carry, clamped, where=small)
-    counts = (carry < 0.0).astype(np.int64)
-    for start in range(1, n, _BLOCK_ROWS):
-        if top <= tail[start] and (carry >= edge[start - 1]).all():
+    carry.fill(np.inf)
+    counts = np.zeros(width, dtype=np.int64)
+    for start in range(0, n, _BLOCK_ROWS):
+        if start and top <= tail[start] and (carry >= edge[start - 1]).all():
             break
         stop = min(start + _BLOCK_ROWS, n)
         size = stop - start
         block = pivots[1:size + 1]
         np.subtract(diag[start:stop, None], shifts, out=block)
-        for prev, cur, off in zip(rows, rows[1:], off_rows[start - 1:stop - 1]):
+        for prev, cur, off in zip(rows, rows[1:], off_rows[start:stop]):
             np.divide(off, prev, tmp)
             np.subtract(cur, tmp, cur)
         below = low[:size]
@@ -139,10 +138,10 @@ def _count_below(diag, off_squared, shifts, pivmin, edge, tail):
             r = int(below.any(axis=1).argmax())
             np.copyto(block[r], clamped, where=below[r])
             np.subtract(diag[start + r + 1:stop, None], shifts, out=block[r + 1:])
-            for prev, cur, off in zip(rows[r + 1:], rows[r + 2:], off_rows[start + r:stop - 1]):
+            for prev, cur, off in zip(rows[r + 1:], rows[r + 2:], off_rows[start + r + 1:stop]):
                 np.divide(off, prev, tmp)
                 np.subtract(cur, tmp, cur)
-                np.less(np.abs(cur, tmp), floor, small)
+                np.less(np.abs(cur, tmp), pivmin, small)
                 np.copyto(cur, clamped, where=small)
         counts += np.count_nonzero(block < 0.0, axis=0)
         carry[...] = block[-1]
@@ -157,8 +156,6 @@ def shifted_tridiag_factor(diag, off, shift):
     iteration drives the shift onto an eigenvalue by design."""
     diag = np.ascontiguousarray(diag, dtype=np.float64)
     off = np.ascontiguousarray(off, dtype=np.float64)
-    if diag.shape[0] < 2:
-        raise ValueError("tridiagonal solve needs at least two rows")
     pivmin = pivot_floor(off * off)
     pivots, ratios = np.empty_like(diag), np.empty_like(diag)
     # row -1's off-diagonal entry and ratio are 0.0, and d - 0.0 * 0.0 == d

@@ -131,7 +131,10 @@ def build_hamiltonian(params: ModelParams, grid: RadialGrid) -> DiscretizedHamil
             "potential is not representable on this grid "
             f"(x_min = {grid.x_min} reaches the singular wall)"
         )
-    inv_h2 = 1.0 / grid.h**2
+    try:
+        inv_h2 = 1.0 / grid.h**2
+    except OverflowError:
+        raise GridError(f"the grid spacing's square overflows float64 (h = {grid.h})") from None
     diag = 2.0 * inv_h2 + v
     offdiag = np.full(grid.n_points - 1, -inv_h2)
     return DiscretizedHamiltonian(grid=grid, diag=diag, offdiag=offdiag)

@@ -149,10 +149,9 @@ def potential_closed_form(x, params: ModelParams) -> np.ndarray:
 def potential_derivative(x, params: ModelParams) -> np.ndarray:
     """Analytic V'(x) = 2WW' - W'' at rung 0 (for minimum finding)."""
     rung = ladder(params, 0)
-    arr = _positive_x(x)
-    w = superpotential(arr, rung, params.p)
-    wp = superpotential_derivative(arr, rung, params.p)
-    wpp = superpotential_second_derivative(arr, rung, params.p)
+    w = superpotential(x, rung, params.p)
+    wp = superpotential_derivative(x, rung, params.p)
+    wpp = superpotential_second_derivative(x, rung, params.p)
     return 2.0 * w * wp - wpp
 
 
@@ -163,7 +162,6 @@ def shape_invariance_residual(x, params: ModelParams, k: int) -> np.ndarray:
     the residual equals -24 k p^2 / (2 cosh(2px) - 1) exactly, so callers
     should expect an O(k p^2) mismatch rather than roundoff.
     """
-    arr = _positive_x(x)
-    vp = partner_plus(arr, ladder(params, k), params.p)
-    vm = partner_minus(arr, ladder(params, k + 1), params.p)
+    vp = partner_plus(x, ladder(params, k), params.p)
+    vm = partner_minus(x, ladder(params, k + 1), params.p)
     return vp - vm - float(shift_constant(params, k))

@@ -44,6 +44,7 @@ _NODES = ("tests/test_hyperpoly.py", "-k", "proven or bisection or node_counts")
 _PARTNERS = ("tests/test_potential.py", "tests/test_validate.py", "-k",
              "partner or shape or hyperbolic")
 _THOMAS = ("tests/test_kernels.py", "-k", "solve or factor")
+_STURM = ("tests/test_kernels.py", "-k", "counts or pivots")
 _BISECT = ("tests/test_oracle.py", "-k", "bisection or cuts or passes or infinity")
 _GATE = ("tests/test_hyperpoly.py", "tests/test_cli.py", "-k",
          "top_coefficient or capped or builds_no_form")
@@ -88,6 +89,25 @@ MUTANTS = (
     Mutant("comment reworded", "kernels.py",
            "# row -1's off-diagonal entry and y are 0.0,",
            "# row -1's off-diagonal entry and y are zero,", _THOMAS, control=True),
+    # the Sturm count walks row 0 in its block loop, from a virtual row -1
+    # with pivot +inf and off-diagonal entry 0.0 (kernels._count_below)
+    Mutant("off_rows padded at the end", "kernels.py",
+           "np.append(0.0, off_squared)", "np.append(off_squared, 0.0)", _STURM),
+    Mutant("blocks from row 1 again", "kernels.py",
+           "for start in range(0, n, _BLOCK_ROWS):", "for start in range(1, n, _BLOCK_ROWS):",
+           _STURM),
+    Mutant("fallback reads off_rows one row early", "kernels.py",
+           "off_rows[start + r + 1:stop]", "off_rows[start + r:stop]", _STURM),
+    # row -1 meets off-diagonal entry 0.0, and 0.0 / 1.0 == 0.0 / inf
+    Mutant("row -1 carries 1.0", "kernels.py",
+           "carry.fill(np.inf)", "carry.fill(1.0)", _STURM, control=True),
+    # a grid spacing whose square overflows float64 is a GridError
+    # (oracle.build_hamiltonian)
+    Mutant("no h^2 guard", "oracle.py",
+           "    try:\n        inv_h2 = 1.0 / grid.h**2\n    except OverflowError:\n"
+           "        raise GridError(",
+           "    inv_h2 = 1.0 / grid.h**2\n    if False:\n        raise GridError(",
+           ("tests/test_oracle.py", "tests/test_cli.py", "-k", "spacing or bad_grid")),
     # one sorted table of known Sturm counts decides every bisection level
     # (oracle.lowest_eigenvalues, oracle._multisection_pass)
     Mutant("table lookup side='left'", "oracle.py",

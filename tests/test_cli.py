@@ -496,6 +496,10 @@ def test_unwritable_out_is_rejected_before_any_work(runner, tmp_path, monkeypatc
         ["validate", "--B", "7", "--p", "1/2", "--x-max", "1e6", "--grid-points", "200"],
         ["validate", "--B", "7", "--p", "1/2", "--x-min", "1e-3", "--x-max", "0.3",
          "--grid-points", "200"],
+        # the grid spacing's square overflows float64: a given x_max, and a
+        # default grid whose x_max is 200/p
+        ["validate", "--B", "7", "--p", "1/2", "--x-max", "1e160"],
+        ["validate", "--B", "1e-160", "--p", "5e-161"],
     ],
 )
 def test_bad_grid_is_a_parameter_error(runner, args):

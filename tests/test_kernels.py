@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susywell import kernels, oracle
 from susywell.params import make_params
@@ -215,33 +217,36 @@ def test_counts_clamp_exact_pivot():
 _MIXED_SHIFTS = np.array([0.0, np.nan, -0.75, np.inf, 0.0, 1.5, -np.inf, 3.0, np.nan])
 
 
-def _zero_pivots_at(rows, n, seed):
+def _zero_pivots_at(rows, n, seed, lift=0.0):
     # a random matrix whose pivot at shift 0 is exactly 0.0 at each of the
     # given rows: diag_i = off_squared_{i-1} / d_{i-1} there, with d_{i-1}
-    # the clamped pivot before it, and fl(x - x) = 0
+    # the clamped pivot before it, and fl(x - x) = 0.  Row -1 has pivot +inf
+    # and off-diagonal entry 0.0, as in the kernel, so row 0 gets diag_0 = 0.0.
+    # lift shifts the diagonal entries of the rows not planted
     rng = np.random.default_rng(seed)
-    diag = rng.uniform(-3.0, 3.0, size=n)
+    diag = rng.uniform(-3.0, 3.0, size=n) + lift
     off2 = rng.uniform(0.5, 2.0, size=n - 1)
     pivmin = kernels.pivot_floor(off2)
-    d = diag[0]
-    for i in range(1, n):
+    d = np.inf
+    for i, e in enumerate(np.append(0.0, off2)):
         if i in rows:
-            diag[i] = off2[i - 1] / d
-        d = diag[i] - off2[i - 1] / d
+            diag[i] = e / d
+        d = diag[i] - e / d
         assert (d == 0.0) == (i in rows)
         d = -pivmin if abs(d) < pivmin else d
     return diag, off2
 
 
-_B = kernels._BLOCK_ROWS  # block k walks rows 1 + k B .. (k + 1) B
+_B = kernels._BLOCK_ROWS  # block k walks rows k B .. (k + 1) B - 1
 
 
 @pytest.mark.parametrize("rows", [
-    pytest.param({1 + _B}, id="first-row-of-a-block"),
-    pytest.param({2 * _B}, id="last-row-of-a-block"),
+    pytest.param({0}, id="row-0"),
+    pytest.param({_B}, id="first-row-of-a-block"),
+    pytest.param({2 * _B - 1}, id="last-row-of-a-block"),
     pytest.param({3 * _B + 40}, id="last-row-of-the-matrix"),
-    pytest.param({1 + _B + 5, 1 + _B + 60}, id="two-rows-of-one-block"),
-    pytest.param({7, 2 * _B, 2 * _B + 1, 3 * _B + 40}, id="rows-of-four-blocks"),
+    pytest.param({_B + 5, _B + 60}, id="two-rows-of-one-block"),
+    pytest.param({7, 2 * _B - 1, 2 * _B, 3 * _B + 40}, id="rows-of-four-blocks"),
 ])
 def test_clamped_pivots_match_reference(rows):
     # without the clamp a zero pivot turns the next one into -inf (or NaN
@@ -251,6 +256,33 @@ def test_clamped_pivots_match_reference(rows):
     expect = reference_counts(diag, off2, _MIXED_SHIFTS)
     assert np.array_equal(kernels.sturm_counts(diag, off2, _MIXED_SHIFTS), expect)
     assert np.array_equal(kernels.sturm_counts(diag, off2, np.zeros(1)), expect[:1])
+
+
+# the first and last row of the first four blocks
+_EDGES = [r for k in range(1, 5) for r in (k * _B - 1, k * _B)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4 * _B + 3),
+       rows=st.sets(st.one_of(st.sampled_from([0, *_EDGES]), st.integers(0, 4 * _B + 2)),
+                    max_size=6),
+       width=st.integers(kernels.SHIFT_BATCH + 1, 3 * kernels.SHIFT_BATCH),
+       lift=st.sampled_from([0.0, 8.0]),
+       specials=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_counts_match_reference_with_planted_zero_pivots(n, rows, width, lift, specials, seed):
+    # exact zero pivots at shift 0 at random rows, row 0 and block edges
+    # among them, in batches of more than SHIFT_BATCH shifts; a NaN or
+    # infinite shift keeps the walk from stopping early, and a lifted
+    # diagonal lets it stop past the last planted row
+    diag, off2 = _zero_pivots_at({r for r in rows if r < n}, n, seed, lift)
+    rng = np.random.default_rng([seed, 1])
+    shifts = rng.uniform(-6.0, 2.0, size=width)
+    shifts[rng.random(width) < 0.2] = 0.0
+    if specials:
+        shifts[rng.choice(width, size=3, replace=False)] = [np.nan, np.inf, -np.inf]
+    expect = reference_counts(diag, off2, shifts)
+    assert np.array_equal(kernels.sturm_counts(diag, off2, shifts), expect)
 
 
 @pytest.mark.parametrize("shifts", [
@@ -339,6 +371,12 @@ def test_factor_clamps_first_and_last_pivot():
     assert ratios[-1] == 0.0
 
 
-def test_factor_needs_two_rows():
-    with pytest.raises(ValueError, match="at least two rows"):
-        kernels.shifted_tridiag_factor(np.ones(1), np.zeros(0), 0.0)
+@pytest.mark.parametrize("shift, pivot", [(0.5, 2.5), (3.0, kernels._SAFE_MIN)])
+def test_factor_and_solve_one_row(shift, pivot):
+    # rows -1 and 1 are virtual, so one row is an ordinary case: x = r / (d - s),
+    # with the pivot d - s clamped like any other (to pivmin, float64's tiny here)
+    off = np.zeros(0)
+    pivots, ratios = kernels.shifted_tridiag_factor(np.array([3.0]), off, shift)
+    assert pivots.tolist() == [pivot] and ratios.tolist() == [0.0]
+    x = kernels.shifted_tridiag_solve(pivots, ratios, off, np.ones(1))
+    assert x.tolist() == [1.0 / pivot]

@@ -66,6 +66,14 @@ def test_build_hamiltonian_rejects_singular_grid():
         build_hamiltonian(PR, RadialGrid(x_min=1e-10, x_max=1e-8, n_points=100))
 
 
+def test_build_hamiltonian_rejects_spacing_whose_square_overflows():
+    # h = 1e160 / 12001 ~ 8.3e155: h**2 overflows float64, where 1e150 does not
+    with pytest.raises(oracle.GridError, match="square overflows float64"):
+        build_hamiltonian(PR, RadialGrid(x_min=0.02, x_max=1e160, n_points=12000))
+    H = build_hamiltonian(PR, RadialGrid(x_min=0.02, x_max=1e150, n_points=12000))
+    assert H.offdiag[0] == -1.0 / ((1e150 - 0.02) / 12001) ** 2
+
+
 def test_particle_in_a_box_levels():
     # V = 0 on (0, pi): eigenvalues k^2 up to O(h^2)
     vals = lowest_eigenvalues(_box_hamiltonian(), 4)
