@@ -25,7 +25,10 @@ decides for some wanted j, and each level reads c_i: plain bisection's
 decision either way, bit for bit.  A cut in the wrong place only decides
 fewer levels.
 Shifts held below the continuum keep every count short, because the walk
-stops early past their turning points.
+stops early past their turning points.  Cuts a few bracket widths
+(bisection_bounds) either side of a level, such as nested cuts around the
+Rayleigh quotient of a close approximation to its eigenvector, leave only
+the last few levels of its bisection to count.
 """
 
 from __future__ import annotations
@@ -188,6 +191,19 @@ def _multisection_pass(diag, off2, lo, hi, m, known):
     return shifts, kernels.sturm_counts(diag, off2, shifts), depth
 
 
+def bisection_bounds(H: DiscretizedHamiltonian) -> tuple[float, float, float]:
+    """(lo, hi, tol): the Gershgorin bounds of H's eigenvalues, which
+    bracket every level at the start of lowest_eigenvalues, and the bracket
+    width it stops at, _BISECT_REL_TOL times max(|lo|, |hi|, 1)."""
+    radius = np.abs(H.offdiag)
+    reach = np.zeros_like(H.diag)
+    reach[:-1] += radius
+    reach[1:] += radius
+    lo = float(np.min(H.diag - reach))
+    hi = float(np.max(H.diag + reach))
+    return lo, hi, _BISECT_REL_TOL * max(abs(lo), abs(hi), 1.0)
+
+
 def lowest_eigenvalues(
     H: DiscretizedHamiltonian, m: int, cuts: "Cuts | None" = None
 ) -> list[float]:
@@ -201,14 +217,7 @@ def lowest_eigenvalues(
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= m <= {n}, got {m}")
     off2 = offdiag * offdiag
-    radius = np.abs(offdiag)
-    reach = np.zeros_like(diag)
-    reach[:-1] += radius
-    reach[1:] += radius
-    lo_bound = float(np.min(diag - reach))
-    hi_bound = float(np.max(diag + reach))
-    norm = max(abs(lo_bound), abs(hi_bound), 1.0)
-    tol = _BISECT_REL_TOL * norm
+    lo_bound, hi_bound, tol = bisection_bounds(H)
 
     lo = np.full(m, lo_bound)
     hi = np.full(m, hi_bound)

@@ -49,6 +49,8 @@ _BISECT = ("tests/test_oracle.py", "-k", "bisection or cuts or passes or infinit
 _GATE = ("tests/test_hyperpoly.py", "tests/test_cli.py", "-k",
          "top_coefficient or capped or builds_no_form")
 _WRITER = ("tests/test_cli.py", "-k", "raw_values or json")
+_ALONE = ("tests/test_kernels.py", "-k", "counts or pivot or paths or walkers or exit")
+_RQ = ("tests/test_validate.py", "-k", "rayleigh or count_calls")
 
 MUTANTS = (
     # node counts proven at dyadic points (hyperpoly._proven_roots)
@@ -92,7 +94,7 @@ MUTANTS = (
     # the Sturm count walks row 0 in its block loop, from a virtual row -1
     # with pivot +inf and off-diagonal entry 0.0 (kernels._count_below)
     Mutant("off_rows padded at the end", "kernels.py",
-           "np.append(0.0, off_squared)", "np.append(off_squared, 0.0)", _STURM),
+           "np.append(0.0, off_squared)", "np.append(off_squared, 0.0)", _ALONE),
     Mutant("blocks from row 1 again", "kernels.py",
            "for start in range(0, n, _BLOCK_ROWS):", "for start in range(1, n, _BLOCK_ROWS):",
            _STURM),
@@ -101,6 +103,25 @@ MUTANTS = (
     # row -1 meets off-diagonal entry 0.0, and 0.0 / 1.0 == 0.0 / inf
     Mutant("row -1 carries 1.0", "kernels.py",
            "carry.fill(np.inf)", "carry.fill(1.0)", _STURM, control=True),
+    # narrow batches and long walkers go through the scalar walk
+    # (kernels._count_alone, kernels.sturm_counts)
+    Mutant("scalar clamp with <=", "kernels.py",
+           "if pivot < pivmin:", "if pivot <= pivmin:", _ALONE),
+    Mutant("scalar exit reads edge[start]", "kernels.py",
+           "pivot >= edge[start - 1]", "pivot >= edge[start]", _ALONE),
+    Mutant("long-walker test with <", "kernels.py",
+           "~(shifts <= tail[last])", "~(shifts < tail[last])", _ALONE),
+    # nested cuts around the Rayleigh quotients of psi_0 and psi_1
+    # (validate._check_convergence, validate._rq_cuts)
+    Mutant("Rayleigh cuts above the top cut", "validate.py",
+           "for s in (c - tol * 8.0**k, c + tol * 8.0**k) if s < ceiling]",
+           "for s in (c - tol * 8.0**k, c + tol * 8.0**k)]", _RQ),
+    # the same floats, but the cuts miss the grid's levels: only the count of
+    # calls sees it
+    Mutant("cuts centred on the closed-form levels", "validate.py",
+           "centres = [_rayleigh(H, psi)\n"
+           "                   for psi in hyperpoly.sample_forms(well.forms[:2], H.grid.points())]",
+           "centres = [float(e) for _, e in well.spec.levels[:2]]", _RQ),
     # a grid spacing whose square overflows float64 is a GridError
     # (oracle.build_hamiltonian)
     Mutant("no h^2 guard", "oracle.py",

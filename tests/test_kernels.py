@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,20 @@ def _dense(diag, off):
     m = np.diag(diag)
     m += np.diag(off, 1) + np.diag(off, -1)
     return m
+
+
+_N = kernels._SCALAR_WIDTH
+
+
+def _by_path(diag, off_squared, shifts):
+    # the counts as routed, with every shift in the blocked walk, and with
+    # every shift walked alone
+    routes = (_N, 0, 10**9)  # 0: none is walked alone; 10**9: every one is
+    out = []
+    for width in routes:
+        with mock.patch.object(kernels, "_SCALAR_WIDTH", width):
+            out.append(kernels.sturm_counts(diag, off_squared, shifts))
+    return out
 
 
 def test_counts_two_by_two():
@@ -173,7 +188,8 @@ def test_walk_goes_on_past_a_dominant_tail_when_the_edge_pivot_is_small():
     expect = reference_counts(diag, off2, shifts)
     head = reference_counts(diag[:edge + 1], off2[:edge], shifts)
     assert expect[0] == head[0] + 1  # the tail does count at shift 0
-    assert np.array_equal(kernels.sturm_counts(diag, off2, shifts), expect)
+    for got in _by_path(diag, off2, shifts):
+        assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("case", ["path-laplacian", "zero-tail", "rounding"])
@@ -200,7 +216,8 @@ def test_shift_on_the_dominance_bound_walks_to_the_last_row(case):
     shifts = np.array([shift])
     expect = reference_counts(diag, off2, shifts)
     assert expect.tolist() == [count]
-    assert np.array_equal(kernels.sturm_counts(diag, off2, shifts), expect)
+    for got in _by_path(diag, off2, shifts):
+        assert np.array_equal(got, expect)
 
 
 def test_counts_clamp_exact_pivot():
@@ -208,31 +225,37 @@ def test_counts_clamp_exact_pivot():
     diag = np.array([1.0, 1.0])
     off2 = np.array([0.25])
     shifts = np.array([1.0, 0.25, 2.0])
-    got = kernels.sturm_counts(diag, off2, shifts)
-    assert np.array_equal(got, reference_counts(diag, off2, shifts))
-    assert got.tolist() == [1, 0, 2]  # eigenvalues 0.5 and 1.5
+    for got in _by_path(diag, off2, shifts):
+        assert np.array_equal(got, reference_counts(diag, off2, shifts))
+        assert got.tolist() == [1, 0, 2]  # eigenvalues 0.5 and 1.5
 
 
 # a batch of shifts around 0 that a clamp at shift 0 must not disturb
 _MIXED_SHIFTS = np.array([0.0, np.nan, -0.75, np.inf, 0.0, 1.5, -np.inf, 3.0, np.nan])
 
 
-def _zero_pivots_at(rows, n, seed, lift=0.0):
+def _zero_pivots_at(rows, n, seed, lift=0.0, tiny=()):
     # a random matrix whose pivot at shift 0 is exactly 0.0 at each of the
     # given rows: diag_i = off_squared_{i-1} / d_{i-1} there, with d_{i-1}
     # the clamped pivot before it, and fl(x - x) = 0.  Row -1 has pivot +inf
     # and off-diagonal entry 0.0, as in the kernel, so row 0 gets diag_0 = 0.0.
+    # At the rows tiny (and not in rows) the pivot is exactly +pivmin, which
+    # is not clamped: off_squared_{i-1} = 0.0 there, so the pivot is diag_i.
     # lift shifts the diagonal entries of the rows not planted
     rng = np.random.default_rng(seed)
     diag = rng.uniform(-3.0, 3.0, size=n) + lift
     off2 = rng.uniform(0.5, 2.0, size=n - 1)
+    tiny = set(tiny) - set(rows)
+    off2[[i - 1 for i in tiny if i]] = 0.0
     pivmin = kernels.pivot_floor(off2)
     d = np.inf
     for i, e in enumerate(np.append(0.0, off2)):
         if i in rows:
             diag[i] = e / d
+        elif i in tiny:
+            diag[i] = pivmin
         d = diag[i] - e / d
-        assert (d == 0.0) == (i in rows)
+        assert (d == 0.0) == (i in rows) and (d == pivmin) == (i in tiny)
         d = -pivmin if abs(d) < pivmin else d
     return diag, off2
 
@@ -254,8 +277,25 @@ def test_clamped_pivots_match_reference(rows):
     # unless the walk restarts there
     diag, off2 = _zero_pivots_at(rows, 3 * _B + 41, seed=min(rows))
     expect = reference_counts(diag, off2, _MIXED_SHIFTS)
-    assert np.array_equal(kernels.sturm_counts(diag, off2, _MIXED_SHIFTS), expect)
+    for got in _by_path(diag, off2, _MIXED_SHIFTS):
+        assert np.array_equal(got, expect)
     assert np.array_equal(kernels.sturm_counts(diag, off2, np.zeros(1)), expect[:1])
+
+
+@pytest.mark.parametrize("width", [1, _N + 1])
+def test_a_pivot_of_exactly_pivmin_is_not_clamped(width):
+    # the clamp takes pivots strictly below pivmin in magnitude; a pivot of
+    # +pivmin stays positive and does not count, at row 0 and at block edges
+    n = 3 * _B + 41
+    tiny = {0, _B - 1, _B, 3 * _B + 40}
+    diag, off2 = _zero_pivots_at(set(), n, seed=4, tiny=tiny)
+    shifts = np.zeros(width)
+    expect = reference_counts(diag, off2, shifts)
+    clamped = diag.copy()
+    clamped[sorted(tiny)] = 0.0  # the same rows with pivot 0.0, which counts
+    assert np.all(reference_counts(clamped, off2, shifts) > expect)
+    for got in _by_path(diag, off2, shifts):
+        assert np.array_equal(got, expect)
 
 
 # the first and last row of the first four blocks
@@ -298,7 +338,110 @@ def test_every_pivot_clamped_matches_reference(shifts):
     diag, off2 = np.zeros(n), np.zeros(n - 1)
     expect = reference_counts(diag, off2, shifts)
     assert expect[0] == n
-    assert np.array_equal(kernels.sturm_counts(diag, off2, shifts), expect)
+    for got in _by_path(diag, off2, shifts):
+        assert np.array_equal(got, expect)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.one_of(st.integers(1, _B - 1), st.integers(1, 4).map(lambda k: k * _B),
+                   st.integers(1, 4).map(lambda k: k * _B + 1)),
+       rows=st.sets(st.one_of(st.sampled_from([0, *_EDGES]), st.integers(0, 4 * _B + 2)),
+                    max_size=4),
+       tiny=st.sets(st.one_of(st.sampled_from([0, *_EDGES]), st.integers(0, 4 * _B + 2)),
+                    max_size=4),
+       width=st.integers(1, _N + 1),
+       long=st.integers(0, _N + 1),
+       lift=st.sampled_from([0.0, 8.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_scalar_and_blocked_paths_match_reference(n, rows, tiny, width, long, lift, seed):
+    # pivots of exactly 0.0 and +pivmin at shift 0 at random rows, row 0 and
+    # block edges among them.  A lifted diagonal lets the shifts in [-6, 2]
+    # stop early, and -inf stops at the first block edge; NaN, +inf and 1e6,
+    # above the whole spectrum, never can.  Each kind comes up to _N + 1
+    # times, so each side of both routing bounds is drawn
+    diag, off2 = _zero_pivots_at({r for r in rows if r < n}, n, seed, lift,
+                                 {r for r in tiny if r < n})
+    rng = np.random.default_rng([seed, 2])
+    short = rng.uniform(-6.0, 2.0, size=width)
+    short[rng.random(width) < 0.3] = 0.0
+    far = np.array([np.nan, np.inf, -np.inf, 1e6])[rng.integers(0, 4, size=long)]
+    shifts = rng.permutation(np.concatenate((short, far)))
+    expect = reference_counts(diag, off2, shifts)
+    for got in _by_path(diag, off2, shifts):
+        assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("b, p", [("7", "1/2"), ("20", "1/4")])
+def test_asymptote_mixed_with_short_shifts_matches_reference(b, p):
+    # validate's own matrix: the asymptote (and NaN) walks every row, the
+    # shifts next to the lowest levels stop past their turning points
+    params = make_params(b, p)
+    H = oracle.build_hamiltonian(params, oracle.default_grid(params))
+    off2 = H.offdiag * H.offdiag
+    levels = np.array(oracle.lowest_eigenvalues(H, 3))
+    asym = float(full_spectrum(params).asymptote)
+    batches = []
+    for width in (1, 2, _N, _N + 1, 3 * _N):
+        near = np.resize(np.concatenate((levels - 1e-9, levels + 1e-9)), width)
+        batches += [near, np.append(near, asym), np.concatenate(([asym, np.nan], near))]
+    expect = reference_counts(H.diag, off2, np.concatenate(batches))
+    for width in (_N, 0, 10**9):  # as routed, none walked alone, every one
+        with mock.patch.object(kernels, "_SCALAR_WIDTH", width):
+            assert np.array_equal(_batched_counts(H.diag, off2, batches), expect)
+
+
+def test_long_walkers_are_the_shifts_above_tail_at_the_last_edge(monkeypatch):
+    # a shift equal to tail there can stop at the last edge, so it stays in
+    # the blocked walk; the next float up, or NaN, is walked alone
+    n = 3 * _B + 5
+    diag, off2 = np.linspace(4.0, 5.0, n), np.ones(n - 1)
+    tail = kernels._dominance(diag, off2, kernels.pivot_floor(off2))[1][3 * _B]
+    shifts = np.concatenate((np.linspace(-1.0, 1.0, _N + 1),
+                             [tail, np.nextafter(tail, np.inf), np.nan]))
+    batches, alone = [], []
+    below, by_one = kernels._count_below, kernels._count_alone
+    monkeypatch.setattr(kernels, "_count_below",
+                        lambda *a: batches.append(a[2].tolist()) or below(*a))
+    monkeypatch.setattr(kernels, "_count_alone",
+                        lambda *a: alone.append(a[0]) or by_one(*a))
+    counts = kernels.sturm_counts(diag, off2, shifts)
+    assert np.array_equal(counts, reference_counts(diag, off2, shifts))
+    assert batches == [shifts[:_N + 2].tolist()]
+    assert alone[0] == np.nextafter(tail, np.inf) and np.isnan(alone[1]) and len(alone) == 2
+
+
+@pytest.mark.parametrize("width", [1, _N + 1])
+def test_exit_reads_the_edge_entry_the_carried_pivot_meets(width):
+    # the pivot carried out of row _B - 1 is 0.25 at shift 0 and meets
+    # |e| = 1; every row from _B on is dominant for shifts <= 0 with
+    # |e| = 0.01, so a test that read the entry past the edge would stop
+    # there, where row _B's pivot, 3 - 1 / 0.25 = -1 at shift 0 and still
+    # negative at shift -0.05, counts
+    n = 2 * _B + 9
+    off2 = np.full(n - 1, 1e-4)
+    off2[:_B] = 1.0
+    diag = np.full(n, 3.0)
+    pivot = diag[0]
+    for i in range(1, _B - 1):
+        pivot = diag[i] - off2[i - 1] / pivot
+    diag[_B - 1] = off2[_B - 2] / pivot + 0.25
+    shifts = -np.linspace(0.0, 0.05, width)
+    expect = reference_counts(diag, off2, shifts)
+    head = reference_counts(diag[:_B], off2[:_B - 1], shifts)
+    assert np.all(expect == head + 1)
+    for got in _by_path(diag, off2, shifts):
+        assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("width", [1, _N + 1, kernels.SHIFT_BATCH + 1])
+def test_zero_rows_count_nothing(width):
+    for got in _by_path(np.zeros(0), np.zeros(0), np.linspace(-1.0, 1.0, width)):
+        assert got.tolist() == [0] * width
+
+
+def test_factor_rejects_zero_rows():
+    with pytest.raises(ValueError, match="at least one row"):
+        kernels.shifted_tridiag_factor(np.zeros(0), np.zeros(0), 0.0)
 
 
 def _solve(diag, off, shift, rhs):

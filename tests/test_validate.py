@@ -255,6 +255,22 @@ def test_one_count_at_the_asymptote_gives_the_levels_below_it(monkeypatch, b, p,
     assert sum(np.count_nonzero(np.asarray(s[2]) >= asym) for s in shifts) == 1
 
 
+@pytest.mark.parametrize("b, p", [("7", "1/2"), ("20", "1/4")])
+def test_the_asymptote_cut_is_walked_alone(monkeypatch, b, p):
+    # the asymptote never stops early: in the blocked walk it would take the
+    # other cuts through every row.  At (7, 1/2) all 8 cuts are walked alone,
+    # at (20, 1/4) the 40 below the asymptote go to the blocked walk
+    params = make_params(b, p)
+    spec = full_spectrum(params)
+    H = oracle.build_hamiltonian(params, oracle.default_grid(params))
+    batches = _counting(monkeypatch, kernels, "_count_below")
+    alone = _counting(monkeypatch, kernels, "_count_alone")
+    validate._bound_levels(H, spec)
+    asym = float(spec.asymptote)
+    assert not any(np.any(args[2] >= asym) for args in batches)
+    assert [args[0] for args in alone if args[0] >= asym] == [asym]
+
+
 # negative controls: each failure branch of a check, on a well record built
 # by hand
 PR = make_params(7, "1/2")  # sigma = -15, tau = 14, n_max = 7
@@ -273,8 +289,77 @@ def test_prefactor_fails_on_a_wrong_exponent_and_a_wrong_length():
 def test_convergence_fails_on_equal_refined_levels(monkeypatch):
     monkeypatch.setattr(oracle, "lowest_eigenvalues", lambda H, m, cuts=None: [0.0, 1.0])
     well = SimpleNamespace(params=PR, spec=full_spectrum(PR), numeric=[0.0, 1.0, 2.0],
-                           H=SimpleNamespace(grid=oracle.default_grid(PR)))
+                           H=SimpleNamespace(grid=oracle.default_grid(PR)),
+                           forms=list(hyperpoly.ladder_forms(PR, range(2))))
     assert validate._check_convergence(well) == (False, "degenerate refinement differences")
+
+
+def _convergence_well(b, p):
+    # the fields of the well record that _check_convergence reads
+    params = make_params(b, p)
+    spec = full_spectrum(params)
+    H = oracle.build_hamiltonian(params, oracle.default_grid(params))
+    return SimpleNamespace(params=params, spec=spec, H=H,
+                           numeric=validate._bound_levels(H, spec)[0],
+                           forms=list(hyperpoly.ladder_forms(params, range(2))))
+
+
+@pytest.mark.parametrize("b, p", [("7", "1/2"), ("3/5", "1/2"), ("20", "1/4"), ("1143/40", "3/5")])
+def test_rayleigh_cuts_keep_every_refined_level(monkeypatch, b, p):
+    # the nested cuts around the Rayleigh quotients only decide bisection
+    # levels without a count: each solve returns the same floats, bit for
+    # bit, and so does the check
+    well = _convergence_well(b, p)
+    solves = _results(monkeypatch, oracle, "lowest_eigenvalues")
+    with_cuts = validate._check_convergence(well)
+    monkeypatch.setattr(validate, "_rq_cuts", lambda H, centres, ceiling: [])
+    without = validate._check_convergence(well)
+    assert with_cuts == without
+    assert len(solves) == 6
+    assert [[x.hex() for x in v] for v in solves[:3]] == [[x.hex() for x in v] for v in solves[3:]]
+
+
+def test_convergence_makes_seven_count_calls(monkeypatch):
+    # three cut calls and four multisection passes at (7, 1/2), where the
+    # cuts halfway between levels alone took 18 calls
+    well = _convergence_well("7", "1/2")
+    calls = _counting(monkeypatch, kernels, "sturm_counts")
+    assert validate._check_convergence(well)[0]
+    assert len(calls) == 7
+
+
+def test_non_finite_rayleigh_quotients_add_no_cuts():
+    H = oracle.build_hamiltonian(PR, oracle.default_grid(PR))
+    n = H.diag.shape[0]
+    spike = np.ones(n)
+    spike[5] = np.inf
+    assert not np.isfinite(validate._rayleigh(H, np.zeros(n)))
+    assert not np.isfinite(validate._rayleigh(H, spike))
+    assert not np.isfinite(validate._rayleigh(H, np.full(n, np.nan)))
+    assert validate._rq_cuts(H, [np.nan, np.inf, -np.inf], np.inf) == []
+
+
+def test_rayleigh_cuts_stay_below_the_ceiling():
+    # a cut above the top cut would lengthen the cut call's walk
+    H = oracle.build_hamiltonian(PR, oracle.default_grid(PR))
+    tol = oracle.bisection_bounds(H)[2]
+    centre = 10.0
+    cuts = validate._rq_cuts(H, [centre], centre + tol * 8.0**3)
+    assert len(cuts) == validate._RQ_NESTS + 3
+    assert max(cuts) < centre + tol * 8.0**3
+    assert sorted(cuts)[0] == centre - tol * 8.0 ** (validate._RQ_NESTS - 1)
+
+
+def _results(monkeypatch, module, name):
+    results = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results
 
 
 def test_oracle_selfcheck_fails_on_a_wrong_node_count_and_index(monkeypatch):
