@@ -4,11 +4,20 @@ and potential/level plot data in JSON or CSV.
 Exit codes: 0 success, 1 validation failure, 2 bad parameters, grid or
 output path, 3 state index out of range.  The command group maps a
 Float64RangeError or GridError raised by any command to one line and exit 2.
+
+Numbers are rounded to 12 significant digits (sig12).  JSON is strict and
+byte for byte what json.dumps(indent=2) writes: each number is the float
+repr of its rounded value, or null when it is not finite.  The long arrays
+(`eigenfunction`'s samples, `figure`'s x and V, `spectrum`'s levels) never
+pass through json.dumps: _json_array formats every number once, straight
+into that layout, in one `%` call, with `%.12g` for all but the few values
+whose `%.12g` text is not their JSON token.
 """
 
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import math
 import os
@@ -49,32 +58,39 @@ def _strict(tree):
 _NULLS = {"inf": "null", "-inf": "null", "nan": "null"}
 # the smallest normal float64: below it, `%.12g` writes more digits than repr
 _TINY = sys.float_info.min
-# one `eigenfunction` sample as json.dumps lays it out inside a top-level list
-_SAMPLE = '{\n      "x": %s,\n      "psi": %s\n    }'
+# one `eigenfunction` sample and one `spectrum` level, as json.dumps lays
+# them out inside a top-level list
+_SAMPLE = '{\n      "x": %.12g,\n      "psi": %.12g\n    }'
+_LEVEL = '{\n      "n": %d,\n      "E": %.12g,\n      "E_exact": "%s"\n    }'
+# the specs _json_array writes a number with: `%.12g` itself, `%.1f`, or
+# `%s` with its token as text
+_SPECS = ("%.12g", "%.1f", "%s")
 
 
 class _Raw(str):
     """JSON text of a top-level value, already laid out at depth 1."""
 
 
-def _json_numbers(values) -> list[str]:
-    """The JSON token json.dumps writes for sig12(x) of each value: its
-    float repr, or null when the value is not finite.
+def _specs(x: np.ndarray) -> np.ndarray:
+    """For each value, the index in _SPECS of the spec that writes the token
+    json.dumps writes for sig12(x) in a strict payload.
 
-    One C-level format rounds the whole array.  For a normal double it
-    writes the digits of the repr of the value it parses to, since two
-    decimals of at most 15 digits never round to one normal double; only
-    integral values (repr adds ".0", and writes 1e12 <= |x| < 1e16
-    positionally), subnormals (fewer digits) and non-finite values are
-    rewritten."""
-    values = np.ravel(values).tolist()
-    tokens = (("%.12g " * len(values)) % tuple(values)).split()
-    rounded = list(map(float, tokens))
-    r = np.abs(rounded)
-    relaid = ~np.isfinite(r) | (r < 1e16) & ((r == np.floor(r)) | (r < _TINY))
-    for i in np.flatnonzero(relaid).tolist():
-        tokens[i] = _NULLS.get(tokens[i]) or repr(rounded[i])
-    return tokens
+    For a normal double, `%.12g` writes the digits of the repr of the value
+    they parse to, since two decimals of at most 15 digits never round to one
+    normal double; only the layout can differ.  It differs for non-finite
+    values (null), below the smallest normal (±0 and subnormals, where repr
+    writes ".0" or fewer digits), and where sig12(x) is integral below 1e16
+    (repr adds ".0", and writes 1e12 <= |x| < 1e16 positionally).  Below
+    1e11, x rounds to an integer only within 5e-12·|x| of it; from 1e11 up,
+    12 digits reach the units, so every value rounds to one.  Of those
+    values, an integer below 1e12 (±0 too) is its own sig12, and `%.1f`
+    writes its repr; the others, few, are written as text."""
+    a = np.abs(x)
+    r = np.round(x)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        near = np.abs(x - r) <= 1e-10 * a
+    relaid = ~np.isfinite(a) | (a < _TINY) | np.where(a < 1e11, near, a < 1e16)
+    return np.where((x == r) & (a < 1e12), 1, 2 * relaid)
 
 
 def _json_list(items: list[str], depth: int) -> str:
@@ -83,6 +99,35 @@ def _json_list(items: list[str], depth: int) -> str:
         return "[]"
     pad = "\n" + "  " * depth
     return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
+def _json_array(item: str, depth: int, *columns) -> str:
+    """The list whose i-th element is `item` % (the i-th entry of each column),
+    in json.dumps's indent-2 layout at `depth` (`item` is laid out for depth
+    + 1), formatted by one `%` call.
+
+    Each `%.12g` of `item` takes a column of floats, and writes each one as
+    json.dumps writes sig12(x) in a strict payload: its float repr, or null
+    when it is not finite.  _specs picks each number's spec, and an element
+    whose numbers do not all take `%.12g` gets a copy of `item` with theirs."""
+    k, count = item.count("%"), len(columns[0])
+    args = [None] * (k * count)
+    pattern = np.zeros(count, dtype=int)  # each element's specs, a base-3 digit per `%.12g`
+    for j, (column, spec) in enumerate(zip(columns, item.split("%")[1:])):
+        if spec.startswith(".12g"):
+            x = np.asarray(column, dtype=float)
+            codes = _specs(x)
+            column = x.tolist()
+            for i in np.flatnonzero(codes == 2).tolist():
+                token = "%.12g" % column[i]
+                column[i] = _NULLS.get(token) or repr(float(token))
+            pattern = pattern * 3 + codes
+        args[j::k] = column
+    parts = item.split("%.12g")
+    variants = np.array(["".join(p + s for p, s in zip(parts, specs + ("",)))
+                         for specs in itertools.product(_SPECS, repeat=len(parts) - 1)],
+                        dtype=object)
+    return _json_list(variants[pattern].tolist(), depth) % tuple(args)
 
 
 def _json_text(payload: dict) -> str:
@@ -228,6 +273,7 @@ def cmd_spectrum(b_text, p_text, fmt, out):
     if fmt == "csv":
         text = "n,E\n" + "".join(f"{n},{_fmt(e)}\n" for n, e in spec.levels)
     else:
+        ns, es = zip(*spec.levels)
         text = _json_text({
             "B": float(params.B),
             "p": float(params.p),
@@ -238,7 +284,8 @@ def cmd_spectrum(b_text, p_text, fmt, out):
             "n_max": spec.n_max,
             "asymptote": sig12(spec.asymptote),
             "asymptote_exact": str(spec.asymptote),
-            "levels": [{"n": n, "E": sig12(e), "E_exact": str(e)} for n, e in spec.levels],
+            "levels": _Raw(_json_array(_LEVEL, 1, ns, [float(e) for e in es],
+                                       [str(e) for e in es])),
         })
     _emit(text, out)
 
@@ -273,14 +320,13 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
             f"state {state_index} cannot be normalized on it (sampled norm "
             f"{norm}: the samples underflow to 0 or overflow float64)"
         )
-    # x0, psi0, x1, psi1, ...
-    samples = np.column_stack((xs, values / np.sqrt(norm)))
+    psi = values / np.sqrt(norm)
     if fmt == "csv":
         text = (
             f"# n={state_index} sigma={form.sigma} tau={form.tau} p={form.p}\n"
             "# coeffs=" + ";".join(str(Fraction(c, form.den)) for c in form.coeffs) + "\n"
             "x,psi\n"
-            + ("%.12g,%.12g\n" * len(samples)) % tuple(samples.ravel().tolist())
+            + ("%.12g,%.12g\n" * len(xs)) % tuple(np.column_stack((xs, psi)).ravel().tolist())
         )
     else:
         payload = {
@@ -294,8 +340,7 @@ def cmd_eigenfunction(b_text, p_text, x_min, x_max, grid_points, fmt, out, state
                 "coeffs": [_pair(Fraction(c, form.den)) for c in form.coeffs],
             },
             "decay_exponent": sig12(hyperpoly.decay_exponent(form)),
-            "samples": _Raw(_json_list([_SAMPLE] * len(samples), 1)
-                            % tuple(_json_numbers(samples))),
+            "samples": _Raw(_json_array(_SAMPLE, 1, xs, psi)),
         }
         text = _json_text(payload)
     _emit(text, out)
@@ -384,8 +429,8 @@ def cmd_figure(b_text, p_text, x_min, x_max, grid_points, fmt, out):
         text = "".join(blocks)
     else:
         payload = {
-            "x": _Raw(_json_list(_json_numbers(xs), 1)),
-            "V": _Raw(_json_list(_json_numbers(v), 1)),
+            "x": _Raw(_json_array("%.12g", 1, xs)),
+            "V": _Raw(_json_array("%.12g", 1, v)),
             "levels": [
                 {
                     "n": n,

@@ -164,6 +164,22 @@ MUTANTS = (
     # the JSON writer lays each top-level value out in place (cli._json_text)
     Mutant("nested JSON value not re-indented", "cli.py",
            'allow_nan=False).replace("\\n", "\\n  ")', "allow_nan=False)", _WRITER),
+    # each number's spec in the JSON writer: a value outside any clause of
+    # the superset test takes `%.12g` (cli._specs)
+    Mutant("non-finite values take %.12g", "cli.py", "~np.isfinite(a) | ", "", _WRITER),
+    Mutant("values below the smallest normal take %.12g", "cli.py", "(a < _TINY) | ", "",
+           _WRITER),
+    Mutant("the 1e11 band takes %.12g", "cli.py",
+           "np.where(a < 1e11, near, a < 1e16)", "np.where(a < 1e11, near, False)", _WRITER),
+    Mutant("near-integers take %.12g", "cli.py",
+           "np.where(a < 1e11, near, a < 1e16)", "np.where(a < 1e11, False, a < 1e16)", _WRITER),
+    Mutant("band capped at 1e15", "cli.py", "a < 1e16)", "a < 1e15)", _WRITER),
+    Mutant("13-digit integers take %.1f", "cli.py", "(a < 1e12), 1,", "(a < 1e13), 1,", _WRITER),
+    Mutant("x and psi swapped in the pair layout", "cli.py",
+           '"x": %.12g,\\n      "psi": %.12g', '"psi": %.12g,\\n      "x": %.12g', _WRITER),
+    # a wider near-integer test writes more values as text, with the same bytes
+    Mutant("near-integer tolerance 1e-9", "cli.py", "<= 1e-10 * a", "<= 1e-9 * a", _WRITER,
+           control=True),
     # sample_forms draws every form before it samples any
     Mutant("each form sampled as it is drawn", "hyperpoly.py",
            "    forms = list(forms)\n"

@@ -3,6 +3,7 @@ import math
 import time
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -577,18 +578,23 @@ def _token(x: float) -> str:
     return json.dumps(cli._strict(cli.sig12(x)), allow_nan=False)
 
 
+def _tokens_text(values) -> str:
+    """The JSON list of the tokens of `values` as json.dumps lays it out."""
+    return json.dumps([cli._strict(cli.sig12(x)) for x in values], indent=2, allow_nan=False)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.floats(), BANDED), max_size=20))
 @example(EDGES)
 @example([])
-def test_json_numbers_match_the_encoder(values):
-    assert cli._json_numbers(np.array(values, dtype=float)) == [_token(x) for x in values]
+def test_json_array_numbers_match_the_encoder(values):
+    assert cli._json_array("%.12g", 0, np.array(values, dtype=float)) == _tokens_text(values)
 
 
 def _laid_out(tree, depth=0) -> str:
     if isinstance(tree, list):
         return cli._json_list([_laid_out(v, depth + 1) for v in tree], depth)
-    return cli._json_numbers([tree])[0]
+    return _token(tree)
 
 
 def _rounded(tree):
@@ -606,6 +612,49 @@ def test_json_list_matches_the_encoder_layout(tree):
     assert _laid_out(tree) == expect
 
 
+# values that take `%.12g`, values that take another spec (EDGES holds only
+# those but 1e-4, 1e-5, 2.225073858507201e-308 and the two largest doubles)
+PLAIN = [0.25, -1.5e-7, 3.14159265358979, 6.02214076e23, -2.5e-300, 1e-4]
+FLAGGED = [0.0, -0.0, 5e-324, 1.0, -7.0, 2.0000000000001, 123456789012.0, 1234567890123.0,
+           1e15, 999999999999.5, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def planted(draw):
+    """A float list with EDGES and BANDED values planted at random positions,
+    often first and last."""
+    values = draw(st.lists(st.one_of(st.floats(), BANDED, st.sampled_from(EDGES)), max_size=24))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from([0, len(values)]) | st.integers(0, len(values)))
+        values.insert(at, draw(st.sampled_from(EDGES) | BANDED))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted())
+@example(EDGES)
+@example(EDGES[::-1])
+@example(FLAGGED)  # every value takes another spec
+@example(PLAIN)  # none does
+@example([])
+def test_json_array_layouts_match_the_encoder(values):
+    # the three layouts the commands write: a flat list (figure's x and V),
+    # x/psi pairs (eigenfunction's samples) and level objects (spectrum's)
+    xs, psis = values[0::2][:len(values) // 2], values[1::2]
+    exacts = [str(Fraction(x)) if math.isfinite(x) else "-1/2" for x in values]
+    cases = [
+        (cli._json_array("%.12g", 1, np.array(values)), [cli.sig12(x) for x in values]),
+        (cli._json_array(cli._SAMPLE, 1, np.array(xs), np.array(psis)),
+         [{"x": cli.sig12(x), "psi": cli.sig12(y)} for x, y in zip(xs, psis)]),
+        (cli._json_array(cli._LEVEL, 1, range(len(values)), values, exacts),
+         [{"n": n, "E": cli.sig12(e), "E_exact": s}
+          for n, (e, s) in enumerate(zip(values, exacts))]),
+    ]
+    for text, tree in cases:
+        expect = json.dumps({"a": cli._strict(tree)}, indent=2, allow_nan=False) + "\n"
+        assert cli._json_text({"a": cli._Raw(text)}) == expect
+
+
 def test_raw_values_keep_the_payload_order():
     numbers = [1.0, math.nan, -2.5e-300]
     # (payload, the keys whose values go in as _Raw)
@@ -617,8 +666,7 @@ def test_raw_values_keep_the_payload_order():
         ({"a": {"b": {"c": "x\ny"}}, "x": numbers}, ("x",)),  # and last
     ]
     for payload, keys in cases:
-        raw = {**payload, **{k: cli._Raw(cli._json_list(cli._json_numbers(payload[k]), 1))
-                             for k in keys}}
+        raw = {**payload, **{k: cli._Raw(cli._json_array("%.12g", 1, payload[k])) for k in keys}}
         assert cli._json_text(raw) == json.dumps(cli._strict(payload), indent=2) + "\n"
 
 
@@ -630,12 +678,62 @@ def test_raw_values_keep_the_payload_order():
     # V is not finite on this grid, inside the wall
     ["figure", "--B", "7", "--p", "0.5", "--x-min", "1e-12", "--x-max", "1e-9",
      "--grid-points", "100"],
+    ["spectrum", "--B", "1000", "--p", "1/100"],  # n_max = 50000
+    # psi underflows to 0 past x = 24, and 60 grid points are at or next to an
+    # integer: 46 exactly, 14 rounding to one at 12 digits
+    ["eigenfunction", "--B", "20", "--p", "1/4", "-n", "10", "--x-min", "0.1", "--x-max",
+     "60.1", "--grid-points", "2999"],
 ])
 def test_json_commands_write_the_encoders_bytes(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     out = result.output
     assert json.dumps(json.loads(out, parse_constant=_reject_constant), indent=2) + "\n" == out
+
+
+def test_eigenfunction_json_samples_are_the_values_at_12_digits(runner):
+    args = ["--x-min", "0.1", "--x-max", "60.1", "--grid-points", "2999"]
+    result = runner.invoke(main, ["eigenfunction", "--B", "20", "--p", "1/4", "-n", "10", *args])
+    assert result.exit_code == 0
+    params = make_params("20", "1/4")
+    grid = oracle.RadialGrid(0.1, 60.1, 2999)
+    xs = grid.points()
+    psi = hyperpoly.evaluate(hyperpoly.eigenfunction(10, params), xs)
+    psi = psi / np.sqrt(oracle.inner_product(psi, psi, grid))
+    samples = json.loads(result.output)["samples"]
+    assert samples == [{"x": cli.sig12(x), "psi": cli.sig12(y)} for x, y in zip(xs, psi)]
+    assert 0.0 in [s["psi"] for s in samples]
+
+
+@st.composite
+def drawn_wells(draw):
+    """A rational well (B, p) with n_max <= 12, B/p in (1, 49/2], p over six
+    decades, and an optional --grid-points."""
+    den = draw(st.integers(1, 16))
+    r = Fraction(draw(st.integers(den + 1, 49 * den // 2)), den)
+    p = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    p *= Fraction(10) ** draw(st.integers(-3, 3))
+    grid = draw(st.none() | st.integers(100, 2000))
+    return str(r * p), str(p), [] if grid is None else ["--grid-points", str(grid)]
+
+
+# the JSON-writing commands on drawn wells end in a documented exit with
+# json.dumps's own bytes; examples bounded so that this costs a few seconds
+@settings(max_examples=50, deadline=None)
+@given(drawn_wells(), st.integers(-1, 14))
+@example(("7", "1/2", []), 3)
+@example(("20", "1/4", ["--grid-points", "100"]), 12)
+def test_commands_on_drawn_wells_write_canonical_json(well, n):
+    b, p, grid = well
+    runner = CliRunner()
+    for args in (["eigenfunction", "-n", str(n), *grid], ["figure", *grid], ["spectrum"]):
+        result = runner.invoke(main, [*args, "--B", b, "--p", p])
+        assert result.exit_code in (0, 2, 3), (args, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        if result.exit_code == 0:
+            tree = json.loads(result.stdout, parse_constant=_reject_constant)
+            assert json.dumps(tree, indent=2) + "\n" == result.stdout
 
 
 def _g12(x) -> str:
